@@ -75,25 +75,20 @@ def beta_binomial_log_pmf(stat: BernoulliSuffStat, weight: BetaWeight) -> float:
     return float(_log_binom_coeff(n, s) + betaln(s + a, n - s + b) - betaln(a, b))
 
 
-def _one_sided_endpoint(stat: BernoulliSuffStat, threshold_drop: float) -> float:
-    """Interior endpoint when the likelihood is monotone (s = 0 or s = n).
+def one_sided_endpoint(n, drop, s_is_zero: bool):
+    """Interior endpoint of the level set drop below the maximised
+    log-likelihood when that is monotone (s = 0 or s = n).
 
-    threshold_drop = threshold - l(mle) < 0.  For s = 0 the region is
-    [0, 1 - exp(drop/n)] and for s = n it is [exp(drop/n), 1]; the endpoint is
-    still located by bisection on the monotone log-likelihood.
+    For s = 0 the log-likelihood is n log(1 - theta) up to a constant, so the
+    region is [0, -expm1(-drop/n)]; for s = n it is n log(theta) and the region
+    is [exp(-drop/n), 1].  Array-valued in n and drop.
     """
-    n, s = stat.n, stat.s
-    ll = binomial_loglik(stat)
-    thr = ll.mle_loglik + threshold_drop
-    lo, hi = 1e-15, 1.0 - 1e-15
-    # monotone decreasing in theta when s = 0, increasing when s = n
-    for _ in range(80):
-        m = 0.5 * (lo + hi)
-        if (ll(m) >= thr) == (s == 0):
-            lo = m
-        else:
-            hi = m
-    return 0.5 * (lo + hi)
+    return -np.expm1(-drop / n) if s_is_zero else np.exp(-drop / n)
+
+
+def _one_sided_interval(stat: BernoulliSuffStat, drop: float) -> Interval:
+    endpoint = float(one_sided_endpoint(stat.n, drop, stat.s == 0))
+    return Interval(0.0, endpoint) if stat.s == 0 else Interval(endpoint, 1.0)
 
 
 def robbins_interval_bernoulli(stat: BernoulliSuffStat, weight: BetaWeight,
@@ -103,10 +98,8 @@ def robbins_interval_bernoulli(stat: BernoulliSuffStat, weight: BetaWeight,
     clipped at 0 or 1."""
     log_qn = beta_binomial_log_pmf(stat, weight)
     if stat.s == 0 or stat.s == stat.n:
-        ll_max = binomial_loglik(stat).mle_loglik
-        drop = level.log_epsilon + log_qn - ll_max
-        endpoint = _one_sided_endpoint(stat, drop)
-        return Interval(0.0, endpoint) if stat.s == 0 else Interval(endpoint, 1.0)
+        drop = binomial_loglik(stat).mle_loglik - level.log_epsilon - log_qn
+        return _one_sided_interval(stat, drop)
     return robbins_region(binomial_loglik(stat), MixtureLogDensity(log_qn, "exact"),
                           level, scale=0.25 / sqrt(stat.n))
 
@@ -118,8 +111,7 @@ def lr_interval(stat: BernoulliSuffStat, conf: float) -> Interval:
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
     drop = 0.5 * float(chdtri(1, 1.0 - conf))
     if stat.s == 0 or stat.s == stat.n:
-        endpoint = _one_sided_endpoint(stat, -drop)
-        return Interval(0.0, endpoint) if stat.s == 0 else Interval(endpoint, 1.0)
+        return _one_sided_interval(stat, drop)
     ll = binomial_loglik(stat)
     return concave_level_set(ll, ll.mle_loglik - drop, scale=0.25 / sqrt(stat.n))
 

@@ -21,10 +21,13 @@ results are bit-identical for any worker count.  Draw order per replication:
                        n1 = n2 = n along the sequence)
 
 The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
-log-odds) are evaluated by direct vectorised formulas; the level-set rules
-(exact Bernoulli mixture, likelihood ratio) solve one bisection per distinct
-(n, s) pair at a fixed iteration count.  Both routes are pinned to the scalar
-library implementations by the test suite.
+log-odds) are evaluated by direct vectorised formulas.  The level-set rules
+(exact Bernoulli mixture, likelihood ratio) solve each distinct (n, s) pair once
+with a fixed number of Newton steps on the logit scale (closed forms at s = 0
+and s = n); the pair table is cut into fixed-size slices that run through the
+same chunk map as the replications, so every endpoint is the same for any
+worker count.  Both routes are pinned to the scalar library implementations by
+the test suite.
 """
 
 from __future__ import annotations
@@ -33,14 +36,16 @@ import csv
 import io
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln, chdtri, gammaln, ndtri, xlogy
+from scipy.special import betaln, chdtri, expit, ndtri, xlogy
 
+from .bernoulli import one_sided_endpoint
 from .core import BetaWeight, NormalWeight, WeightSpec
 from . import reference
 
@@ -51,6 +56,7 @@ __all__ = [
     "ReportRow",
     "TableReport",
     "CellComparison",
+    "EndpointSolveError",
     "replication_rng",
     "run_plan",
     "reproduce_table",
@@ -59,8 +65,8 @@ __all__ = [
 ]
 
 CHUNK_REPS = 256          # fixed chunk size; never depends on the worker count
-_BISECT_ITERS = 50        # fixed-count bisection: deterministic and < 1e-15 wide
-_TINY = 1e-13
+SOLVE_PAIRS = 16384       # fixed slice of the (n, s) pair table; likewise
+_NEWTON_STEPS = 6         # converged to rounding in <= 4 steps for drops up to 700
 
 CSV_COLUMNS = ["table", "row_label", "level", "contradictions_pct", "noncoverages_pct",
                "se_contra", "se_noncov", "reps", "nmin", "nmax", "seed"]
@@ -122,6 +128,25 @@ class SequencePlan:
             if self.weight is None:
                 raise ValueError(f"rule {self.rule.value} requires a weight function")
         _plan_combo(self)  # validate the model/rule/weight combination eagerly
+        _check_truth(self.model, self.truth)
+
+
+def _check_truth(model, truth) -> None:
+    """The truth must lie in the model's parameter space: a finite mean, a
+    proportion in (0, 1), or a pair of proportions in (0, 1)."""
+    def real(x):
+        return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+    if model == Model.TWO_BERNOULLI:
+        if not (isinstance(truth, (tuple, list)) and len(truth) == 2
+                and all(real(t) and 0.0 < t < 1.0 for t in truth)):
+            raise ValueError("two-bernoulli truth must be a pair (theta1, theta2) "
+                             f"with both entries in (0, 1), got {truth!r}")
+    elif model == Model.BERNOULLI:
+        if not (real(truth) and 0.0 < truth < 1.0):
+            raise ValueError(f"bernoulli truth must lie in (0, 1), got {truth!r}")
+    elif not (real(truth) and math.isfinite(truth)):
+        raise ValueError(f"normal truth must be a finite number, got {truth!r}")
 
 
 @dataclass(frozen=True)
@@ -177,17 +202,15 @@ def _fmt(x: float) -> str:
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _chunk_ranges(reps: int):
-    return [(r0, min(r0 + CHUNK_REPS, reps)) for r0 in range(0, reps, CHUNK_REPS)]
-
-def _map_chunks(worker, reps: int, threads: int) -> list:
-    """Apply worker(r0, r1) to fixed chunks; results returned in chunk order
-    (identical for any thread count)."""
-    ranges = _chunk_ranges(reps)
+def _map_chunks(worker, total: int, threads: int, chunk: int = CHUNK_REPS) -> list:
+    """Apply worker(i0, i1) to the fixed slices [i0, i1) of range(total), chunk
+    items each; results returned in slice order (identical for any thread
+    count)."""
+    ranges = [(i0, min(i0 + chunk, total)) for i0 in range(0, total, chunk)]
     if threads <= 1 or len(ranges) == 1:
-        return [worker(r0, r1) for r0, r1 in ranges]
+        return [worker(i0, i1) for i0, i1 in ranges]
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(worker, r0, r1) for r0, r1 in ranges]
+        futures = [ex.submit(worker, i0, i1) for i0, i1 in ranges]
         return [f.result() for f in futures]
 
 
@@ -284,39 +307,58 @@ def _two_bernoulli_counts(theta1, theta2, n_min, n_max, reps, seed, combos, thre
 # level-set kernel (exact Bernoulli mixture, likelihood ratio)
 # ---------------------------------------------------------------------------
 
-def _bisect_lower_flat(s, n, T, that):
-    """Vectorised lower endpoints of {theta: s log theta + (n-s) log(1-theta) >= T};
-    fixed-count bisection on [tiny, mle]."""
-    lo = np.full(s.shape, _TINY)
-    hi = np.maximum(that, 2.0 * _TINY)
-    for _ in range(_BISECT_ITERS):
-        m = 0.5 * (lo + hi)
-        below = s * np.log(m) + (n - s) * np.log1p(-m) < T
-        lo = np.where(below, m, lo)
-        hi = np.where(below, hi, m)
-    return 0.5 * (lo + hi)
+def _newton_offset(s, n, drop):
+    """u = eta - eta_hat, eta = logit(theta), at the lower endpoint of
+    {theta: s log theta + (n-s) log(1-theta) >= l_max - drop} for 0 < s < n and
+    drop > 0.
+
+    With th = s/n the log-likelihood minus its maximum is
+    n [th u - log1p(th expm1(u))], concave in u with slope s - n theta; on u < 0
+    a Newton step from either side of the root lands at or below it, and the
+    steps then climb to it.  The start is
+    the normal-approximation endpoint -sqrt(2c), c = drop / (n th (1-th)),
+    capped at log1p(c + sqrt(2c)): where few failures make the log-likelihood
+    fall exponentially below the mle, that cap bounds the root, while the
+    normal start lies far past it and Newton would gain one unit per step.
+    """
+    th = s / n
+    info = n * th * (1.0 - th)
+    c = drop / info
+    root = np.sqrt(2.0 * c)
+    u = -np.minimum(root, np.log1p(c + root))
+    for _ in range(_NEWTON_STEPS):
+        em = np.expm1(u)
+        t = th * em
+        u = u + (s * u - n * np.log1p(t) + drop) * (1.0 + t) / (info * em)
+    return u
 
 
-def _bisect_upper_flat(s, n, T, that):
-    lo = that.copy()
-    hi = np.full(s.shape, 1.0 - _TINY)
-    for _ in range(_BISECT_ITERS):
-        m = 0.5 * (lo + hi)
-        above = s * np.log(m) + (n - s) * np.log1p(-m) >= T
-        lo = np.where(above, m, lo)
-        hi = np.where(above, hi, m)
-    return 0.5 * (lo + hi)
+def _bisect_lower_flat(s, n, drop):
+    """Vectorised lower endpoints of the level set at drop below the binomial
+    log-likelihood maximum, for interior pairs 0 < s < n (Newton solve; the
+    name is kept from the bisection it replaced)."""
+    return expit(np.log(s / (n - s)) + _newton_offset(s, n, drop))
+
+
+def _bisect_upper_flat(s, n, drop):
+    """Upper endpoints: the lower endpoint of the reflected pair (n - s, n),
+    mirrored by theta -> 1 - theta on the logit scale."""
+    return expit(np.log(s / (n - s)) - _newton_offset(n - s, n, drop))
+
+
+class EndpointSolveError(ArithmeticError):
+    """A level-set kernel produced a non-finite interval endpoint."""
 
 
 def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
     """combos: ("exact", eps, alpha, beta) | ("lr", conf) | ("arcsine", eps, mu0, tau0_sq).
 
     Generates the success-count matrix once, solves the level-set endpoints for
-    every distinct (n, s) pair actually observed, then scans replications.
+    every (n, s) pair between the smallest and largest count observed at each
+    n, then scans replications.
     """
-    ncols = n_max - n_min + 1
     ns = np.arange(n_min, n_max + 1)
-    S = np.empty((reps, n_max), dtype=np.int16)
+    S = np.empty((reps, n_max), dtype=np.min_scalar_type(n_max))
 
     def gen_worker(r0, r1):
         for i in range(r0, r1):
@@ -327,32 +369,49 @@ def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
     Sm = S[:, n_min - 1:]
 
     pair_combos = [c for c in combos if c[0] in ("exact", "lr")]
-    endpoints = {}
     if pair_combos:
         smin = Sm.min(axis=0).astype(np.int64)
-        smax = Sm.max(axis=0).astype(np.int64)
-        width = smax - smin + 1
+        width = Sm.max(axis=0) - smin + 1
         offset = np.concatenate(([0], np.cumsum(width)[:-1]))
-        n_flat = np.repeat(ns, width).astype(float)
-        s_flat = (np.arange(width.sum()) - np.repeat(offset, width)
-                  + np.repeat(smin, width)).astype(float)
-        that = s_flat / n_flat
-        at_zero = s_flat == 0
-        at_n = s_flat == n_flat
-        for combo in pair_combos:
-            if combo[0] == "exact":
-                _, eps, alpha, beta = combo
-                T = math.log(eps) + betaln(s_flat + alpha, n_flat - s_flat + beta) \
-                    - float(betaln(alpha, beta))
-            else:
-                _, conf = combo
-                drop = 0.5 * float(chdtri(1, 1.0 - conf))
-                T = xlogy(s_flat, that) + xlogy(n_flat - s_flat, 1.0 - that) - drop
-            lower = _bisect_lower_flat(s_flat, n_flat, T, that)
-            upper = _bisect_upper_flat(s_flat, n_flat, T, that)
-            lower[at_zero] = 0.0
-            upper[at_n] = 1.0
-            endpoints[combo] = (lower, upper)
+        npairs = int(width.sum())
+        lower = np.empty((len(pair_combos), npairs))
+        upper = np.empty_like(lower)
+
+        def solve_worker(p0, p1):
+            pair = np.arange(p0, p1)
+            col = np.searchsorted(offset, pair, side="right") - 1
+            n = ns[col].astype(float)
+            s = (pair - offset[col] + smin[col]).astype(float)
+            that = s / n
+            lmax = xlogy(s, that) + xlogy(n - s, 1.0 - that)
+            inner = np.flatnonzero((s > 0) & (s < n))
+            zero, full = np.flatnonzero(s == 0), np.flatnonzero(s == n)
+            log_q = {}
+            for k, combo in enumerate(pair_combos):
+                if combo[0] == "exact":
+                    _, eps, alpha, beta = combo
+                    if (alpha, beta) not in log_q:
+                        log_q[alpha, beta] = (betaln(s + alpha, n - s + beta)
+                                              - float(betaln(alpha, beta)))
+                    drop = lmax - (math.log(eps) + log_q[alpha, beta])
+                else:
+                    drop = np.full(s.shape, 0.5 * float(chdtri(1, 1.0 - combo[1])))
+                lo, up = lower[k, p0:p1], upper[k, p0:p1]
+                with np.errstate(all="ignore"):
+                    lo[inner] = _bisect_lower_flat(s[inner], n[inner], drop[inner])
+                    up[inner] = _bisect_upper_flat(s[inner], n[inner], drop[inner])
+                    lo[zero] = 0.0
+                    up[zero] = one_sided_endpoint(n[zero], drop[zero], s_is_zero=True)
+                    lo[full] = one_sided_endpoint(n[full], drop[full], s_is_zero=False)
+                    up[full] = 1.0
+                bad = ~(np.isfinite(lo) & np.isfinite(up))
+                if bad.any():
+                    i = int(np.argmax(bad))
+                    raise EndpointSolveError(
+                        f"non-finite {combo[0]} endpoint [{lo[i]}, {up[i]}] at "
+                        f"n={int(n[i])}, s={int(s[i])} (drop {drop[i]})")
+
+        _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
 
     def scan_worker(r0, r1):
         sc = Sm[r0:r1].astype(np.int64)
@@ -363,8 +422,8 @@ def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
             if combo[0] in ("exact", "lr"):
                 if idx is None:
                     idx = offset[None, :] + (sc - smin[None, :])
-                lower, upper = endpoints[combo]
-                contra, noncov = _flags(lower[idx], upper[idx], theta)
+                k = pair_combos.index(combo)
+                contra, noncov = _flags(lower[k][idx], upper[k][idx], theta)
             else:
                 _, eps, mu0, tau2 = combo
                 if omega is None:

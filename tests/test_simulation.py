@@ -1,14 +1,16 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from robbins import bernoulli, normal, reference, two_bernoulli
 from robbins.core import BetaWeight, NormalWeight, PersistenceLevel, SequenceMonitor
-from robbins.simulation import (CSV_COLUMNS, CellComparison, Model, ReportRow, Rule,
-                                SequencePlan, TableReport, compare_to_reference,
-                                replication_rng, reproduce_table, run_plan)
+from robbins.simulation import (CSV_COLUMNS, CellComparison, EndpointSolveError, Model,
+                                ReportRow, Rule, SOLVE_PAIRS, SequencePlan, TableReport,
+                                compare_to_reference, replication_rng, reproduce_table,
+                                run_plan)
 
 
 class TestReplicationRng:
@@ -54,6 +56,33 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SequencePlan(model=Model.BERNOULLI, truth=0.5, rule=Rule.LIKELIHOOD_RATIO,
                          level=1.0)
+
+    @pytest.mark.parametrize("truth", [1.5, 0.0, 1.0, -0.1, float("nan"), (0.2, 0.3)])
+    def test_bernoulli_truth_in_unit_interval(self, truth):
+        with pytest.raises(ValueError):
+            SequencePlan(model=Model.BERNOULLI, truth=truth, rule=Rule.LIKELIHOOD_RATIO,
+                         level=0.95)
+
+    @pytest.mark.parametrize("truth", [(1.5, 0.2), (0.2, 0.0), (0.2, float("nan")),
+                                       (0.2, 0.25, 0.3), (0.2,), 0.2])
+    def test_two_bernoulli_truth_is_pair_in_unit_square(self, truth):
+        with pytest.raises(ValueError):
+            SequencePlan(model=Model.TWO_BERNOULLI, truth=truth, rule=Rule.CLASSICAL_Z,
+                         level=0.95)
+
+    @pytest.mark.parametrize("truth", [float("inf"), float("-inf"), float("nan"), (0.0, 1.0)])
+    def test_normal_truth_finite(self, truth):
+        with pytest.raises(ValueError):
+            SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=truth, rule=Rule.CLASSICAL_Z,
+                         level=0.95)
+
+    def test_valid_truths_accepted(self):
+        SequencePlan(model=Model.BERNOULLI, truth=np.float64(0.3),
+                     rule=Rule.LIKELIHOOD_RATIO, level=0.95)
+        SequencePlan(model=Model.TWO_BERNOULLI, truth=[0.2, 0.25], rule=Rule.CLASSICAL_Z,
+                     level=0.95)
+        SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=-3, rule=Rule.CLASSICAL_Z,
+                     level=0.95)
 
 
 def _slow_flags(model_update, truth, reps, seed):
@@ -162,10 +191,40 @@ class TestKernelsMatchMonitorReplay:
                 (100.0 * slow[0] / reps, 100.0 * slow[1] / reps), plan.rule
 
 
+def _fine_bisection(s, n, T, iters=200):
+    """Lower and upper endpoints of {theta: s log theta + (n-s) log(1-theta) >= T}
+    by plain bisection on [0, s/n] and [s/n, 1]."""
+    that = s / n
+
+    def inside(m):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.nan_to_num(s * np.log(m) + (n - s) * np.log1p(-m), nan=-np.inf) >= T
+
+    ends = []
+    for lo, hi, rising in ((np.zeros_like(s), that, True), (that, np.ones_like(s), False)):
+        lo, hi = lo.copy(), hi.copy()
+        for _ in range(iters):
+            m = 0.5 * (lo + hi)
+            move_lo = inside(m) != rising
+            lo = np.where(move_lo, m, lo)
+            hi = np.where(move_lo, hi, m)
+        ends.append(0.5 * (lo + hi))
+    return ends
+
+
 class TestLevelSetKernelEndpoints:
-    def test_flat_bisection_matches_library_intervals(self):
+    """The kernel's Newton solve of the binomial level set, checked against the
+    scalar library rules and against a fine bisection."""
+
+    @staticmethod
+    def _solve(s, n, drop):
         from robbins.simulation import _bisect_lower_flat, _bisect_upper_flat
-        from scipy.special import betaln
+        s, n, drop = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, n, drop))
+        drop = np.broadcast_to(drop, s.shape)
+        return _bisect_lower_flat(s, n, drop), _bisect_upper_flat(s, n, drop)
+
+    def test_newton_solver_matches_library_intervals(self):
+        from scipy.special import betaln, chdtri, xlogy
         rng = np.random.default_rng(5)
         lvl = PersistenceLevel(0.2)
         for _ in range(25):
@@ -174,14 +233,112 @@ class TestLevelSetKernelEndpoints:
             a, b = float(rng.uniform(0.3, 5)), float(rng.uniform(0.3, 5))
             stat = bernoulli.BernoulliSuffStat(n, s)
             iv = bernoulli.robbins_interval_bernoulli(stat, BetaWeight(a, b), lvl)
-            T = np.array([math.log(0.2)
-                          + float(betaln(s + a, n - s + b) - betaln(a, b))])
-            sf, nf = np.array([float(s)]), np.array([float(n)])
-            that = sf / nf
-            lo = _bisect_lower_flat(sf, nf, T, that)[0]
-            hi = _bisect_upper_flat(sf, nf, T, that)[0]
-            assert lo == pytest.approx(iv.lower, abs=1e-8)
-            assert hi == pytest.approx(iv.upper, abs=1e-8)
+            lmax = xlogy(s, s / n) + xlogy(n - s, 1 - s / n)
+            T = math.log(0.2) + float(betaln(s + a, n - s + b) - betaln(a, b))
+            lo, hi = self._solve(s, n, lmax - T)
+            assert lo[0] == pytest.approx(iv.lower, abs=1e-8)
+            assert hi[0] == pytest.approx(iv.upper, abs=1e-8)
+
+            conf = float(rng.choice([0.9, 0.95, 0.99, 0.995]))
+            iv = bernoulli.lr_interval(stat, conf)
+            lo, hi = self._solve(s, n, 0.5 * float(chdtri(1, 1 - conf)))
+            assert lo[0] == pytest.approx(iv.lower, abs=1e-8)
+            assert hi[0] == pytest.approx(iv.upper, abs=1e-8)
+
+    def test_newton_solver_matches_fine_bisection_on_dense_grid(self):
+        from scipy.special import betaln, chdtri, xlogy
+        pairs = [(n, s) for n in list(range(2, 150)) + list(range(150, 4001, 71))
+                 for s in range(1, n, 1 + n // 500)]
+        n, s = (np.array(x, dtype=float) for x in zip(*pairs))
+        lmax = xlogy(s, s / n) + xlogy(n - s, 1 - s / n)
+        thresholds = [lmax - 0.5 * float(chdtri(1, 1 - conf)) for conf in (0.9, 0.995)]
+        thresholds += [math.log(eps) + betaln(s + a, n - s + b) - betaln(a, b)
+                       for eps, a, b in ((0.5, 0.5, 0.5), (0.05, 1, 1), (0.05, 5, 5),
+                                         (0.01, 0.3, 4.7))]
+        for T in thresholds:
+            lo, hi = self._solve(s, n, lmax - T)
+            ref_lo, ref_hi = _fine_bisection(s, n, T)
+            assert np.max(np.abs(lo - ref_lo)) <= 1e-12
+            assert np.max(np.abs(hi - ref_hi)) <= 1e-12
+
+    def test_boundary_pairs_closed_form(self):
+        from robbins.bernoulli import one_sided_endpoint
+        n = np.array([1, 2, 3, 10, 100, 4000], dtype=float)
+        for drop in (0.05, 1.3, 4.0, 30.0):
+            up0 = one_sided_endpoint(n, drop, s_is_zero=True)
+            lon = one_sided_endpoint(n, drop, s_is_zero=False)
+            # s = 0: l = n log(1 - theta), region [0, up0]; s = n: l = n log(theta)
+            _, ref_up0 = _fine_bisection(np.zeros_like(n), n, -drop)
+            ref_lon, _ = _fine_bisection(n.copy(), n, -drop)
+            assert np.max(np.abs(up0 - ref_up0)) <= 1e-12
+            assert np.max(np.abs(lon - ref_lon)) <= 1e-12
+        stat0, statn = bernoulli.BernoulliSuffStat(50, 0), bernoulli.BernoulliSuffStat(50, 50)
+        drop = 0.5 * 2.705543454095404          # chi2_{1, 0.9} / 2
+        assert bernoulli.lr_interval(stat0, 0.9).upper == \
+            pytest.approx(-math.expm1(-drop / 50), abs=1e-15)
+        assert bernoulli.lr_interval(statn, 0.9).lower == \
+            pytest.approx(math.exp(-drop / 50), abs=1e-15)
+
+    def test_kernel_boundary_pairs_match_monitor_replay_without_warnings(self, recwarn):
+        # small theta and n from 1: s = 0 and s = n both occur in the pair table
+        n_max, reps, seed = 60, 30, 12
+        weight = BetaWeight(1.0, 1.0)
+        lvl = PersistenceLevel(0.1)
+        for theta in (0.03, 0.97):
+            def replay(rule_fn):
+                def run(rng, mon):
+                    s = np.cumsum(rng.random(n_max) < theta)
+                    for n in range(1, n_max + 1):
+                        mon.update(rule_fn(bernoulli.BernoulliSuffStat(n, int(s[n - 1]))))
+                return run
+
+            base = dict(model=Model.BERNOULLI, truth=theta, n_min=1, n_max=n_max,
+                        reps=reps, seed=seed)
+            for plan, fn in (
+                    (SequencePlan(rule=Rule.ROBBINS_EXACT, level=0.1, weight=weight, **base),
+                     lambda st: bernoulli.robbins_interval_bernoulli(st, weight, lvl)),
+                    (SequencePlan(rule=Rule.LIKELIHOOD_RATIO, level=0.95, **base),
+                     lambda st: bernoulli.lr_interval(st, 0.95))):
+                row = run_plan(plan)
+                slow = _slow_flags(replay(fn), theta, reps, seed)
+                assert (row.contradictions_pct, row.noncoverages_pct) == \
+                    (100.0 * slow[0] / reps, 100.0 * slow[1] / reps), (theta, plan.rule)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_non_finite_endpoint_raises_named_error(self, recwarn):
+        # conf = 1e-300 rounds the likelihood-ratio drop to exactly 0, a level
+        # set with no interior: the solver must fail loudly, not warn
+        plan = SequencePlan(model=Model.BERNOULLI, truth=0.5, rule=Rule.LIKELIHOOD_RATIO,
+                            level=1e-300, n_min=10, n_max=50, reps=4, seed=1)
+        with pytest.raises(EndpointSolveError):
+            run_plan(plan)
+        assert issubclass(EndpointSolveError, ArithmeticError)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+class TestCountStorage:
+    def test_counts_past_int16_range_match_int64_replay(self):
+        # at theta = 0.9 the success count passes 32767 near n = 36400; counts
+        # wrapped there turn every later endpoint into NaN, which silently
+        # clears the replication's flags
+        theta, n_min, n_max, reps, seed = 0.9, 10, 40_000, 4, 24
+        weight = bernoulli.omega_weight_from_beta(BetaWeight(1.0, 1.0))
+        lvl = PersistenceLevel(0.5)
+
+        def replay(rng, mon):
+            s = np.cumsum(rng.random(n_max) < theta, dtype=np.int64)
+            assert s[-1] > np.iinfo(np.int16).max
+            for n in range(n_min, n_max + 1):
+                stat = bernoulli.BernoulliSuffStat(n, int(s[n - 1]))
+                mon.update(bernoulli.arcsine_approx_interval(stat, weight, lvl))
+
+        row = run_plan(SequencePlan(model=Model.BERNOULLI, truth=theta,
+                                    rule=Rule.ROBBINS_APPROX, level=0.5, weight=weight,
+                                    n_min=n_min, n_max=n_max, reps=reps, seed=seed))
+        slow = _slow_flags(replay, theta, reps, seed)
+        assert slow[1] > 0      # a replay with no flags could not tell the two apart
+        assert (row.contradictions_pct, row.noncoverages_pct) == \
+            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
 
 
 class TestDeterminism:
@@ -202,6 +359,32 @@ class TestDeterminism:
 
     def test_reproduce_table_csv_identical_across_threads(self):
         texts = [reproduce_table("T5", reps=200, seed=6, threads=t).csv_text()
+                 for t in (1, 2, 8)]
+        assert texts[0] == texts[1] == texts[2]
+
+    @staticmethod
+    def _pair_table_size(theta, n_min, n_max, reps, seed):
+        S = np.array([np.cumsum(replication_rng(seed, r).random(n_max) < theta)
+                      for r in range(reps)])[:, n_min - 1:]
+        return int((S.max(axis=0) - S.min(axis=0) + 1).sum())
+
+    def test_level_set_kernel_thread_invariance(self):
+        base = dict(model=Model.BERNOULLI, truth=0.4, n_min=10, n_max=2000, reps=300, seed=13)
+        assert self._pair_table_size(0.4, 10, 2000, 300, 13) > 3 * SOLVE_PAIRS
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the slice workers finely
+        try:
+            for plan in (SequencePlan(rule=Rule.LIKELIHOOD_RATIO, level=0.95, **base),
+                         SequencePlan(rule=Rule.ROBBINS_EXACT, level=0.1,
+                                      weight=BetaWeight(2.0, 3.0), **base)):
+                rows = [run_plan(plan, threads=t) for t in (1, 2, 8)]
+                assert rows[0] == rows[1] == rows[2], plan.rule
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_level_set_table_csv_identical_across_threads(self):
+        assert self._pair_table_size(0.5, 100, 4000, 120, 6) > 3 * SOLVE_PAIRS
+        texts = [reproduce_table("T3", reps=120, seed=6, threads=t).csv_text()
                  for t in (1, 2, 8)]
         assert texts[0] == texts[1] == texts[2]
 
