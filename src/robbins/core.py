@@ -10,7 +10,7 @@ of upper endpoints.  The monitor tracks both extrema online.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 __all__ = [
@@ -82,8 +82,10 @@ class NormalWeight:
     tau0_sq: float
 
     def __post_init__(self):
-        if not self.tau0_sq > 0:
-            raise ValueError(f"tau0_sq must be positive, got {self.tau0_sq}")
+        if not math.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
+        if not 0 < self.tau0_sq < math.inf:
+            raise ValueError(f"tau0_sq must be positive and finite, got {self.tau0_sq}")
 
 
 @dataclass(frozen=True)

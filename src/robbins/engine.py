@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy import integrate

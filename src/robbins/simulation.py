@@ -20,8 +20,12 @@ results are bit-identical for any worker count.  Draw order per replication:
                        iff u[j-1, i] < theta_j  (one paired draw per step, so
                        n1 = n2 = n along the sequence)
 
+Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
+Consecutive plans sharing their data streams run through one kernel call, which
+takes the plans themselves, so a cell equals its plan run alone by run_plan.
+
 The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
-log-odds) are evaluated by direct vectorised formulas.  The level-set rules
+log-odds) share one vectorised half-width.  The level-set rules
 (exact Bernoulli mixture, likelihood ratio) solve each distinct (n, s) pair once
 with a fixed number of Newton steps on the logit scale (closed forms at s = 0
 and s = n); the pair table is cut into fixed-size slices that run through the
@@ -34,11 +38,12 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -93,7 +98,16 @@ class Rule(str, Enum):
     ROBBINS_APPROX = "approx"
 
 
-_FIXED_LEVEL_RULES = (Rule.CLASSICAL_Z, Rule.LIKELIHOOD_RATIO)
+# the weight family each supported (model, rule) takes; None for fixed-level rules
+_WEIGHT_FAMILY = {
+    (Model.NORMAL_KNOWN_VAR, Rule.CLASSICAL_Z): None,
+    (Model.NORMAL_KNOWN_VAR, Rule.ROBBINS_EXACT): NormalWeight,
+    (Model.BERNOULLI, Rule.LIKELIHOOD_RATIO): None,
+    (Model.BERNOULLI, Rule.ROBBINS_EXACT): BetaWeight,
+    (Model.BERNOULLI, Rule.ROBBINS_APPROX): NormalWeight,
+    (Model.TWO_BERNOULLI, Rule.CLASSICAL_Z): None,
+    (Model.TWO_BERNOULLI, Rule.ROBBINS_APPROX): NormalWeight,
+}
 
 
 @dataclass(frozen=True)
@@ -121,13 +135,16 @@ class SequencePlan:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if self.rule in _FIXED_LEVEL_RULES:
-            if self.weight is not None:
-                raise ValueError(f"rule {self.rule.value} takes no weight function")
-        else:
-            if self.weight is None:
-                raise ValueError(f"rule {self.rule.value} requires a weight function")
-        _plan_combo(self)  # validate the model/rule/weight combination eagerly
+        if not (0.0 < self.sigma0_sq < math.inf):
+            raise ValueError(f"sigma0_sq must be finite and positive, got {self.sigma0_sq}")
+        if (self.model, self.rule) not in _WEIGHT_FAMILY:
+            raise ValueError(f"rule {self.rule.value} is not supported for the "
+                             f"{self.model.value} model in simulation")
+        family = _WEIGHT_FAMILY[self.model, self.rule]
+        if not (self.weight is None if family is None else isinstance(self.weight, family)):
+            need = "no weight function" if family is None else f"a {family.__name__} weight"
+            raise ValueError(f"rule {self.rule.value} on model {self.model.value} takes "
+                             f"{need}, got {type(self.weight).__name__}")
         _check_truth(self.model, self.truth)
 
 
@@ -225,22 +242,51 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
 # closed-form kernels (normal, two-bernoulli, arcsine)
 # ---------------------------------------------------------------------------
 
-def _flags(lower, upper, truth):
-    """Per-replication (contradicted, noncovered) from endpoint arrays of shape
-    (reps_chunk, n_count)."""
-    maxlo = lower.max(axis=1)
-    minup = upper.min(axis=1)
-    contra = maxlo > minup
-    noncov = (maxlo > truth) | (minup < truth)
-    return contra, noncov
+def _flag_counts(lower, upper, truth):
+    """(contradicted, noncovered) replication counts from endpoint arrays of
+    shape (reps_chunk, n_count)."""
+    maxlo, minup = lower.max(axis=1), upper.min(axis=1)
+    return (np.count_nonzero(maxlo > minup),
+            np.count_nonzero((maxlo > truth) | (minup < truth)))
 
 
-def _normal_counts(theta, sigma0_sq, n_min, n_max, reps, seed, combos, threads):
-    """combos: ("z", conf) or ("robbins", eps, mu0, tau0_sq).  Returns an array
-    of (contradictions, noncoverages) counts per combo."""
+def _closed_form_counts(plans, est, v, truth, bounds=None) -> list:
+    """Flag counts per plan of est +/- d: d = z sqrt(v) for a fixed-level rule,
+    else the mixture half-width sqrt(v (log(tv/v) + (est - mu0)^2/tv - 2 log eps)),
+    tv = tau0_sq + v, whose eps-free part is built once per run of plans sharing
+    a weight.  bounds(est, d) maps the endpoints to the parameter scale."""
+    counts = []
+    for w, run in itertools.groupby(plans, key=lambda plan: plan.weight):
+        if w is not None:
+            tv = w.tau0_sq + v
+            base = np.log(tv / v) + (est - w.mu0) ** 2 / tv
+        for plan in run:
+            if w is None:
+                d = float(ndtri(0.5 * (1.0 + plan.level))) * np.sqrt(v)
+            else:
+                d = np.sqrt(v * (base - 2.0 * math.log(plan.level)))
+            lower, upper = (est - d, est + d) if bounds is None else bounds(est, d)
+            counts.append(_flag_counts(lower, upper, truth))
+    return counts
+
+
+def _sin2_bounds(omega, d):
+    """Arcsine scale back to theta = sin^2(omega), clipped to [0, pi/2].  Built in
+    place: these chunk-sized arrays set the Bernoulli kernel's peak memory."""
+    lower, upper = omega - d, omega + d
+    np.square(np.sin(np.maximum(lower, 0.0, out=lower), out=lower), out=lower)
+    np.square(np.sin(np.minimum(upper, 0.5 * math.pi, out=upper), out=upper), out=upper)
+    return lower, upper
+
+
+def _normal_counts(plans, threads):
+    """(contradictions, noncoverages) counts per plan; the plans share the
+    model, truth, range, reps, seed and sigma0_sq."""
+    p = plans[0]
+    theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
     ns = np.arange(n_min, n_max + 1, dtype=float)
-    v = sigma0_sq / ns
-    sigma0 = math.sqrt(sigma0_sq)
+    v = p.sigma0_sq / ns
+    sigma0 = math.sqrt(p.sigma0_sq)
 
     def worker(r0, r1):
         m = r1 - r0
@@ -250,27 +296,16 @@ def _normal_counts(theta, sigma0_sq, n_min, n_max, reps, seed, combos, threads):
         ybar = theta + sigma0 * ybar
         np.cumsum(ybar, axis=1, out=ybar)
         ybar = ybar[:, n_min - 1:] / ns
-        counts = np.zeros((len(combos), 2), dtype=np.int64)
-        diffsq = {}
-        for ci, combo in enumerate(combos):
-            if combo[0] == "z":
-                d = float(ndtri(0.5 * (1.0 + combo[1]))) * np.sqrt(v)
-            else:
-                _, eps, mu0, tau2 = combo
-                if mu0 not in diffsq:
-                    diffsq[mu0] = (ybar - mu0) ** 2
-                tv = tau2 + v
-                d = np.sqrt(v * (np.log(tv / v) + diffsq[mu0] / tv - 2.0 * math.log(eps)))
-            contra, noncov = _flags(ybar - d, ybar + d, theta)
-            counts[ci] = contra.sum(), noncov.sum()
-        return counts
+        return np.array(_closed_form_counts(plans, ybar, v, theta), dtype=np.int64)
 
-    return _tally(_map_chunks(worker, reps, threads))
+    return _tally(_map_chunks(worker, p.reps, threads))
 
 
-def _two_bernoulli_counts(theta1, theta2, n_min, n_max, reps, seed, combos, threads):
-    """combos: ("wald", conf) or ("approx", eps, mu0, tau0_sq); paired sampling,
-    continuity-corrected estimates, truth is the log-odds ratio."""
+def _two_bernoulli_counts(plans, threads):
+    """Paired sampling, continuity-corrected estimates, truth is the log-odds
+    ratio; counts per plan as in _normal_counts."""
+    p = plans[0]
+    (theta1, theta2), n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
     psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
     ns = np.arange(n_min, n_max + 1, dtype=float)
 
@@ -288,19 +323,9 @@ def _two_bernoulli_counts(theta1, theta2, n_min, n_max, reps, seed, combos, thre
         d4 = (ns - s2) + 0.5
         psi = np.log((a * d4) / (b * c))
         v = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
-        counts = np.zeros((len(combos), 2), dtype=np.int64)
-        for ci, combo in enumerate(combos):
-            if combo[0] == "wald":
-                d = float(ndtri(0.5 * (1.0 + combo[1]))) * np.sqrt(v)
-            else:
-                _, eps, mu0, tau2 = combo
-                tv = tau2 + v
-                d = np.sqrt(v * (np.log(tv / v) + (psi - mu0) ** 2 / tv - 2.0 * math.log(eps)))
-            contra, noncov = _flags(psi - d, psi + d, psi_true)
-            counts[ci] = contra.sum(), noncov.sum()
-        return counts
+        return np.array(_closed_form_counts(plans, psi, v, psi_true), dtype=np.int64)
 
-    return _tally(_map_chunks(worker, reps, threads))
+    return _tally(_map_chunks(worker, p.reps, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -350,31 +375,33 @@ class EndpointSolveError(ArithmeticError):
     """A level-set kernel produced a non-finite interval endpoint."""
 
 
-def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
-    """combos: ("exact", eps, alpha, beta) | ("lr", conf) | ("arcsine", eps, mu0, tau0_sq).
-
+def _bernoulli_counts(plans, threads):
+    """Counts per plan for the exact, likelihood-ratio and arcsine rules.
     Generates the success-count matrix once, solves the level-set endpoints for
     every (n, s) pair between the smallest and largest count observed at each
-    n, then scans replications.
-    """
+    n, then scans replications."""
+    p = plans[0]
+    theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
     ns = np.arange(n_min, n_max + 1)
-    S = np.empty((reps, n_max), dtype=np.min_scalar_type(n_max))
+    S = np.empty((p.reps, n_max), dtype=np.min_scalar_type(n_max))
 
     def gen_worker(r0, r1):
         for i in range(r0, r1):
             S[i] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)
         return np.zeros(1, dtype=np.int64)
 
-    _map_chunks(gen_worker, reps, threads)
+    _map_chunks(gen_worker, p.reps, threads)
     Sm = S[:, n_min - 1:]
 
-    pair_combos = [c for c in combos if c[0] in ("exact", "lr")]
-    if pair_combos:
+    is_pair = np.array([pl.rule != Rule.ROBBINS_APPROX for pl in plans])
+    pair_plans = [pl for pl, pair in zip(plans, is_pair) if pair]
+    arc_plans = [pl for pl, pair in zip(plans, is_pair) if not pair]
+    if pair_plans:
         smin = Sm.min(axis=0).astype(np.int64)
         width = Sm.max(axis=0) - smin + 1
         offset = np.concatenate(([0], np.cumsum(width)[:-1]))
         npairs = int(width.sum())
-        lower = np.empty((len(pair_combos), npairs))
+        lower = np.empty((len(pair_plans), npairs))
         upper = np.empty_like(lower)
 
         def solve_worker(p0, p1):
@@ -387,15 +414,15 @@ def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
             inner = np.flatnonzero((s > 0) & (s < n))
             zero, full = np.flatnonzero(s == 0), np.flatnonzero(s == n)
             log_q = {}
-            for k, combo in enumerate(pair_combos):
-                if combo[0] == "exact":
-                    _, eps, alpha, beta = combo
-                    if (alpha, beta) not in log_q:
-                        log_q[alpha, beta] = (betaln(s + alpha, n - s + beta)
-                                              - float(betaln(alpha, beta)))
-                    drop = lmax - (math.log(eps) + log_q[alpha, beta])
+            for k, plan in enumerate(pair_plans):
+                w = plan.weight
+                if w is None:       # likelihood ratio
+                    drop = np.full(s.shape, 0.5 * float(chdtri(1, 1.0 - plan.level)))
                 else:
-                    drop = np.full(s.shape, 0.5 * float(chdtri(1, 1.0 - combo[1])))
+                    if w not in log_q:
+                        log_q[w] = (betaln(s + w.alpha, n - s + w.beta)
+                                    - float(betaln(w.alpha, w.beta)))
+                    drop = lmax - (math.log(plan.level) + log_q[w])
                 lo, up = lower[k, p0:p1], upper[k, p0:p1]
                 with np.errstate(all="ignore"):
                     lo[inner] = _bisect_lower_flat(s[inner], n[inner], drop[inner])
@@ -408,196 +435,114 @@ def _bernoulli_counts(theta, n_min, n_max, reps, seed, combos, threads):
                 if bad.any():
                     i = int(np.argmax(bad))
                     raise EndpointSolveError(
-                        f"non-finite {combo[0]} endpoint [{lo[i]}, {up[i]}] at "
+                        f"non-finite {plan.rule.value} endpoint [{lo[i]}, {up[i]}] at "
                         f"n={int(n[i])}, s={int(s[i])} (drop {drop[i]})")
 
         _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
 
     def scan_worker(r0, r1):
         sc = Sm[r0:r1].astype(np.int64)
-        counts = np.zeros((len(combos), 2), dtype=np.int64)
-        idx = None
-        omega = None
-        for ci, combo in enumerate(combos):
-            if combo[0] in ("exact", "lr"):
-                if idx is None:
-                    idx = offset[None, :] + (sc - smin[None, :])
-                k = pair_combos.index(combo)
-                contra, noncov = _flags(lower[k][idx], upper[k][idx], theta)
-            else:
-                _, eps, mu0, tau2 = combo
-                if omega is None:
-                    omega = np.arcsin(np.sqrt(sc / ns))
-                v = 0.25 / ns
-                tv = tau2 + v
-                d = np.sqrt(v * (np.log(tv / v) + (omega - mu0) ** 2 / tv
-                                 - 2.0 * math.log(eps)))
-                lo = np.sin(np.maximum(omega - d, 0.0)) ** 2
-                hi = np.sin(np.minimum(omega + d, 0.5 * math.pi)) ** 2
-                contra, noncov = _flags(lo, hi, theta)
-            counts[ci] = contra.sum(), noncov.sum()
+        counts = np.zeros((len(plans), 2), dtype=np.int64)
+        if pair_plans:
+            idx = offset[None, :] + (sc - smin[None, :])
+            counts[is_pair] = [_flag_counts(lower[k][idx], upper[k][idx], theta)
+                               for k in range(len(pair_plans))]
+        if arc_plans:
+            omega = np.arcsin(np.sqrt(sc / ns))
+            counts[~is_pair] = _closed_form_counts(arc_plans, omega, 0.25 / ns, theta,
+                                                   _sin2_bounds)
         return counts
 
-    return _tally(_map_chunks(scan_worker, reps, threads))
+    return _tally(_map_chunks(scan_worker, p.reps, threads))
 
 
 # ---------------------------------------------------------------------------
 # plans and tables
 # ---------------------------------------------------------------------------
 
-def _plan_combo(plan: SequencePlan):
-    """Translate a plan into (kernel combo, displayed level); rejects unsupported
-    model/rule/weight combinations with a reason."""
-    m, r = plan.model, plan.rule
-    if m == Model.NORMAL_KNOWN_VAR:
-        if r == Rule.CLASSICAL_Z:
-            return ("z", plan.level), 100.0 * plan.level
-        if r == Rule.ROBBINS_EXACT:
-            w = _require_weight(plan, NormalWeight)
-            return ("robbins", plan.level, w.mu0, w.tau0_sq), _persist(plan.level)
-        raise ValueError(f"rule {r.value} is not defined for the known-variance normal model")
-    if m == Model.BERNOULLI:
-        if r == Rule.LIKELIHOOD_RATIO:
-            return ("lr", plan.level), 100.0 * plan.level
-        if r == Rule.ROBBINS_EXACT:
-            w = _require_weight(plan, BetaWeight)
-            return ("exact", plan.level, w.alpha, w.beta), _persist(plan.level)
-        if r == Rule.ROBBINS_APPROX:
-            w = _require_weight(plan, NormalWeight)
-            return ("arcsine", plan.level, w.mu0, w.tau0_sq), _persist(plan.level)
-        raise ValueError(f"rule {r.value} is not defined for the bernoulli model")
-    if m == Model.TWO_BERNOULLI:
-        if r == Rule.CLASSICAL_Z:
-            return ("wald", plan.level), 100.0 * plan.level
-        if r == Rule.ROBBINS_APPROX:
-            w = _require_weight(plan, NormalWeight)
-            return ("approx", plan.level, w.mu0, w.tau0_sq), _persist(plan.level)
-        raise ValueError(f"rule {r.value} is not supported for the two-bernoulli model "
-                         "(the exact conditional rule is available for point computation only)")
-    raise ValueError(f"unknown model {m}")
+_KERNELS = {Model.NORMAL_KNOWN_VAR: _normal_counts, Model.BERNOULLI: _bernoulli_counts,
+            Model.TWO_BERNOULLI: _two_bernoulli_counts}
 
 
-def _require_weight(plan, cls):
-    if not isinstance(plan.weight, cls):
-        raise ValueError(f"rule {plan.rule.value} on model {plan.model.value} requires a "
-                         f"{cls.__name__} weight, got {type(plan.weight).__name__}")
-    return plan.weight
+def _run_plans(table: str, plans, threads: int) -> list:
+    """One report row per plan; each run of consecutive plans sharing data streams
+    is one kernel call (grouped in order, since a list truth is no dict key)."""
+    rows = []
+    for _, group in itertools.groupby(plans, key=lambda p: (
+            p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq)):
+        group = list(group)
+        counts = _KERNELS[group[0].model](group, threads)
+        rows += [_report_row(table, plan, cnt) for plan, cnt in zip(group, counts)]
+    return rows
 
 
-def _persist(eps: float) -> float:
-    return round(100.0 * (1.0 - eps), 6)
-
-
-def _pct_row(table, label, level, counts, reps, n_min, n_max, seed) -> ReportRow:
-    c, nc = int(counts[0]), int(counts[1])
-    pc, pn = 100.0 * c / reps, 100.0 * nc / reps
-    return ReportRow(table=table, row_label=label, level=level,
-                     contradictions_pct=pc, noncoverages_pct=pn,
-                     se_contra=_binom_se_pct(pc, reps), se_noncov=_binom_se_pct(pn, reps),
-                     reps=reps, nmin=n_min, nmax=n_max, seed=seed)
-
-
-def _binom_se_pct(p_pct: float, reps: int) -> float:
-    p = p_pct / 100.0
-    return 100.0 * math.sqrt(p * (1.0 - p) / reps)
-
-
-def _dispatch(model, truth, sigma0_sq, n_min, n_max, reps, seed, combos, threads):
-    if model == Model.NORMAL_KNOWN_VAR:
-        return _normal_counts(truth, sigma0_sq, n_min, n_max, reps, seed, combos, threads)
-    if model == Model.BERNOULLI:
-        return _bernoulli_counts(truth, n_min, n_max, reps, seed, combos, threads)
-    th1, th2 = truth
-    return _two_bernoulli_counts(th1, th2, n_min, n_max, reps, seed, combos, threads)
+def _report_row(table: str, plan: SequencePlan, counts) -> ReportRow:
+    """Percentages with binomial SEs; the level shows as 100*conf or 100*(1 - eps)."""
+    pct = [100.0 * int(c) / plan.reps for c in counts]
+    se = [100.0 * math.sqrt(p / 100.0 * (1.0 - p / 100.0) / plan.reps) for p in pct]
+    level = 100.0 * plan.level if plan.weight is None else round(100.0 * (1.0 - plan.level), 6)
+    return ReportRow(table, plan.label or f"{plan.model.value}/{plan.rule.value}", level,
+                     *pct, *se, plan.reps, plan.n_min, plan.n_max, plan.seed)
 
 
 def run_plan(plan: SequencePlan, threads: int = 1) -> ReportRow:
     """Run one simulation cell.  Equals the corresponding reproduce_table cell
     whenever model, truth, range, reps and seed coincide (the data streams
     depend only on (seed, replication))."""
-    combo, display = _plan_combo(plan)
-    counts = _dispatch(plan.model, plan.truth, plan.sigma0_sq, plan.n_min, plan.n_max,
-                       plan.reps, plan.seed, [combo], threads)[0]
-    label = plan.label or f"{plan.model.value}/{plan.rule.value}"
-    return _pct_row("-", label, display, counts, plan.reps, plan.n_min, plan.n_max, plan.seed)
+    return _run_plans("-", (plan,), threads)[0]
 
 
-# -- table configuration grids (levels shown as 100*(1-eps) or 100*conf) -----
+# -- the five tables as plans (rows of (label, weight), levels innermost) ----
 
-_EPS_LEVELS = ((0.50, 50.0), (0.20, 80.0), (0.10, 90.0), (0.05, 95.0))
-_CONF_LEVELS = ((0.90, 90.0), (0.95, 95.0), (0.99, 99.0), (0.995, 99.5))
-
-TABLE_IDS = ("T1", "T2", "T3", "T4", "T5")
-
-_T2_WEIGHTS = ((0.0, 0.1), (0.0, 1.0), (0.0, 10.0), (1.0, 1.0), (2.0, 1.0), (5.0, 1.0))
-_T4_WEIGHTS = ((0.5, 0.5), (1.0, 1.0), (5.0, 5.0))
-_T4_THETAS = (0.5, 0.7, 0.9)
-_T5_WEIGHTS = ((0.0, 2.0 * math.pi ** 2), (0.0, 5.0), (0.0, 1.0),
-               (0.0, 0.1), (1.0, 5.0), (-1.0, 5.0))
-_T5_TRUTH = (0.2, 0.25)
+_EPS_LEVELS = (0.50, 0.20, 0.10, 0.05)
+_CONF_LEVELS = (0.90, 0.95, 0.99, 0.995)
 
 
-def _weight_label(mu0: float, tau2: float) -> str:
-    tau = "2pi^2" if tau2 == 2.0 * math.pi ** 2 else format(tau2, "g")
-    return f"mu0={format(mu0, 'g')},tau0sq={tau}"
+def _cells(model, truth, n_min, n_max, rule, rows, levels) -> tuple:
+    return tuple(SequencePlan(model, truth, rule, level, weight, n_min, n_max, label=label)
+                 for label, weight in rows for level in levels)
+
+
+def _normal_rows(params) -> list:
+    """(label, weight) rows for NormalWeight(mu0, tau0_sq) over (mu0, tau0_sq) pairs."""
+    return [(f"mu0={mu0:g},tau0sq=" + ("2pi^2" if tau2 == 2.0 * math.pi ** 2 else f"{tau2:g}"),
+             NormalWeight(mu0, tau2)) for mu0, tau2 in params]
+
+
+_THETAS = (0.5, 0.7, 0.9)
+
+_TABLES = {
+    "T1": _cells(Model.NORMAL_KNOWN_VAR, 0.0, 10, 4000, Rule.CLASSICAL_Z,
+                 [("z", None)], _CONF_LEVELS),
+    "T2": _cells(Model.NORMAL_KNOWN_VAR, 0.0, 10, 4000, Rule.ROBBINS_EXACT,
+                 _normal_rows(((0.0, 0.1), (0.0, 1.0), (0.0, 10.0),
+                               (1.0, 1.0), (2.0, 1.0), (5.0, 1.0))), _EPS_LEVELS),
+    "T3": sum((_cells(Model.BERNOULLI, th, 100, 4000, Rule.LIKELIHOOD_RATIO,
+                      [(f"theta={th:g}", None)], _CONF_LEVELS) for th in _THETAS), ()),
+    "T4": sum((_cells(Model.BERNOULLI, th, 100, 4000, Rule.ROBBINS_EXACT,
+                      [(f"theta={th:g},Beta({a:g},{b:g})", BetaWeight(a, b))
+                       for a, b in ((0.5, 0.5), (1.0, 1.0), (5.0, 5.0))], _EPS_LEVELS)
+               for th in _THETAS), ()),
+    "T5": _cells(Model.TWO_BERNOULLI, (0.2, 0.25), 50, 2000, Rule.ROBBINS_APPROX,
+                 _normal_rows(((0.0, 2.0 * math.pi ** 2), (0.0, 5.0), (0.0, 1.0),
+                               (0.0, 0.1), (1.0, 5.0), (-1.0, 5.0))), _EPS_LEVELS),
+}
+
+TABLE_IDS = tuple(_TABLES)
 
 
 def reproduce_table(table_id: str, reps: int = 10_000, seed: int = 42,
                     threads: int = 1) -> TableReport:
     """Re-run the full configuration grid of one of the five bundled tables.
 
-    Groups sharing a data-generating truth reuse the same replication streams,
+    Cells sharing a data-generating truth reuse the same replication streams,
     so every cell is reproducible in isolation through run_plan.
     """
     table_id = table_id.upper()
     if table_id not in TABLE_IDS:
         raise ValueError(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
-    rows = []
-    if table_id == "T1":
-        combos = [("z", conf) for conf, _ in _CONF_LEVELS]
-        counts = _normal_counts(0.0, 1.0, 10, 4000, reps, seed, combos, threads)
-        for (conf, disp), cnt in zip(_CONF_LEVELS, counts):
-            rows.append(_pct_row("T1", "z", disp, cnt, reps, 10, 4000, seed))
-    elif table_id == "T2":
-        combos = [("robbins", eps, mu0, tau2)
-                  for mu0, tau2 in _T2_WEIGHTS for eps, _ in _EPS_LEVELS]
-        counts = _normal_counts(0.0, 1.0, 10, 4000, reps, seed, combos, threads)
-        i = 0
-        for mu0, tau2 in _T2_WEIGHTS:
-            for _, disp in _EPS_LEVELS:
-                rows.append(_pct_row("T2", _weight_label(mu0, tau2), disp,
-                                     counts[i], reps, 10, 4000, seed))
-                i += 1
-    elif table_id == "T3":
-        for theta in _T4_THETAS:
-            combos = [("lr", conf) for conf, _ in _CONF_LEVELS]
-            counts = _bernoulli_counts(theta, 100, 4000, reps, seed, combos, threads)
-            for (conf, disp), cnt in zip(_CONF_LEVELS, counts):
-                rows.append(_pct_row("T3", f"theta={format(theta, 'g')}", disp,
-                                     cnt, reps, 100, 4000, seed))
-    elif table_id == "T4":
-        for theta in _T4_THETAS:
-            combos = [("exact", eps, a, b)
-                      for a, b in _T4_WEIGHTS for eps, _ in _EPS_LEVELS]
-            counts = _bernoulli_counts(theta, 100, 4000, reps, seed, combos, threads)
-            i = 0
-            for a, b in _T4_WEIGHTS:
-                label = f"theta={format(theta, 'g')},Beta({format(a, 'g')},{format(b, 'g')})"
-                for _, disp in _EPS_LEVELS:
-                    rows.append(_pct_row("T4", label, disp, counts[i], reps, 100, 4000, seed))
-                    i += 1
-    else:
-        combos = [("approx", eps, mu0, tau2)
-                  for mu0, tau2 in _T5_WEIGHTS for eps, _ in _EPS_LEVELS]
-        counts = _two_bernoulli_counts(_T5_TRUTH[0], _T5_TRUTH[1], 50, 2000,
-                                       reps, seed, combos, threads)
-        i = 0
-        for mu0, tau2 in _T5_WEIGHTS:
-            for _, disp in _EPS_LEVELS:
-                rows.append(_pct_row("T5", _weight_label(mu0, tau2), disp,
-                                     counts[i], reps, 50, 2000, seed))
-                i += 1
-    return TableReport(table=table_id, rows=tuple(rows))
+    plans = [replace(plan, reps=reps, seed=seed) for plan in _TABLES[table_id]]
+    return TableReport(table=table_id, rows=tuple(_run_plans(table_id, plans, threads)))
 
 
 # ---------------------------------------------------------------------------

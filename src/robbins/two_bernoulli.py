@@ -177,28 +177,30 @@ def log_odds_weight_density(psi):
     return np.exp(log_odds_weight_log_density(psi))
 
 
-def conditional_log_mixture(stat: TwoSampleStat):
-    """log q for the conditional model: the tilted pmf of s1 mixed over pi(psi),
-    by quadrature on psi_hat +/- 40 sd (sd from the conditional information).
-    Truncation error is negligible: the weight tails are exponential and the
-    likelihood is log-concave."""
+def _conditional_mixture(stat: TwoSampleStat) -> tuple:
+    """(conditional log-likelihood, sd at the MLE, log q): the tilted pmf of s1
+    mixed over pi(psi) by quadrature on psi_hat +/- 40 sd, sd from the
+    conditional information."""
     ll = conditional_loglik(stat)
     u, base = _base_log_weights(stat.n1, stat.n2, stat.t)
     _, var = _cond_mean_var(u, base, ll.mle)
     sd = 1.0 / sqrt(var)
     domain = (ll.mle - 40.0 * sd, ll.mle + 40.0 * sd)
-    return quadrature_log_mixture(ll, log_odds_weight_log_density, domain)
+    return ll, sd, quadrature_log_mixture(ll, log_odds_weight_log_density, domain)
+
+
+def conditional_log_mixture(stat: TwoSampleStat):
+    """log q for the conditional model: the tilted pmf of s1 mixed over pi(psi),
+    by quadrature on psi_hat +/- 40 sd (sd from the conditional information).
+    Truncation error is negligible: the weight tails are exponential and the
+    likelihood is log-concave."""
+    return _conditional_mixture(stat)[2]
 
 
 def robbins_conditional_interval(stat: TwoSampleStat, level: PersistenceLevel) -> Interval:
     """Exact conditional sequence for the log-odds ratio: the level set of the
     tilted conditional log-likelihood at log eps + log q."""
-    ll = conditional_loglik(stat)
-    u, base = _base_log_weights(stat.n1, stat.n2, stat.t)
-    _, var = _cond_mean_var(u, base, ll.mle)
-    sd = 1.0 / sqrt(var)
-    log_qn = quadrature_log_mixture(ll, log_odds_weight_log_density,
-                                    (ll.mle - 40.0 * sd, ll.mle + 40.0 * sd))
+    ll, sd, log_qn = _conditional_mixture(stat)
     return robbins_region(ll, log_qn, level, scale=sd)
 
 

@@ -177,6 +177,15 @@ class TestSimulateCommand:
         assert "contradictions=" in out and "non-coverages=" in out
 
 
+    @pytest.mark.parametrize("flags", [["--weight", "normal:nan,1"], ["--sigma2", "0"]])
+    def test_non_finite_or_zero_scale_rejected(self, capsys, flags):
+        rc, _, err = run(capsys, "simulate", "--model", "normal", "--theta", "0",
+                         "--rule", "exact", "--weight", "normal:0,1", "--epsilon", "0.2",
+                         "--nmin", "10", "--nmax", "50", "--reps", "5", *flags)
+        assert rc == 2
+        assert err.startswith("error:")
+
+
 class TestReproduceTableCommand:
     def test_small_run_keeps_invariant(self, capsys, tmp_path):
         out_file = tmp_path / "t1.csv"

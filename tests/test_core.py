@@ -51,6 +51,14 @@ class TestWeights:
         with pytest.raises(ValueError):
             NormalInverseGamma(0.0, 1.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("mu0,tau0_sq", [(math.nan, 1.0), (math.inf, 1.0),
+                                             (-math.inf, 1.0), (0.0, math.inf),
+                                             (0.0, math.nan), (0.0, -1.0)])
+    def test_normal_weight_finite(self, mu0, tau0_sq):
+        # a non-finite weight used to give 0% / 0% in every closed-form kernel
+        with pytest.raises(ValueError):
+            NormalWeight(mu0, tau0_sq)
+
     def test_valid(self):
         NormalWeight(-3.0, 2.5)
         BetaWeight(0.5, 0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -75,6 +76,13 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=truth, rule=Rule.CLASSICAL_Z,
                          level=0.95)
+
+    @pytest.mark.parametrize("sigma0_sq", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sigma0_sq_finite_positive(self, sigma0_sq):
+        # 0, nan and inf used to give 0% / 0%; -1 a bare math domain error
+        with pytest.raises(ValueError, match="sigma0_sq"):
+            SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=0.0, rule=Rule.CLASSICAL_Z,
+                         level=0.95, sigma0_sq=sigma0_sq)
 
     def test_valid_truths_accepted(self):
         SequencePlan(model=Model.BERNOULLI, truth=np.float64(0.3),
@@ -388,14 +396,52 @@ class TestDeterminism:
                  for t in (1, 2, 8)]
         assert texts[0] == texts[1] == texts[2]
 
+    @staticmethod
+    def _one_cell_per_row_label():
+        """(table, row label, displayed level, plan written out independently of
+        the table grids) for one cell of every row label of T1-T5."""
+        normal = dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0, n_min=10, n_max=4000)
+        yield "T1", "z", 99.5, SequencePlan(rule=Rule.CLASSICAL_Z, level=0.995, **normal)
+        for i, (mu0, tau2) in enumerate(((0, 0.1), (0, 1), (0, 10), (1, 1), (2, 1), (5, 1))):
+            eps = (0.5, 0.2, 0.1, 0.05)[i % 4]
+            yield ("T2", f"mu0={mu0},tau0sq={tau2}", round(100 * (1 - eps), 6),
+                   SequencePlan(rule=Rule.ROBBINS_EXACT, level=eps,
+                                weight=NormalWeight(mu0, tau2), **normal))
+        for i, theta in enumerate((0.5, 0.7, 0.9)):
+            bern = dict(model=Model.BERNOULLI, truth=theta, n_min=100, n_max=4000)
+            conf = (0.9, 0.99, 0.995)[i]
+            yield ("T3", f"theta={theta}", 100 * conf,
+                   SequencePlan(rule=Rule.LIKELIHOOD_RATIO, level=conf, **bern))
+            for j, (a, b) in enumerate(((0.5, 0.5), (1, 1), (5, 5))):
+                eps = (0.5, 0.2, 0.1, 0.05)[(i + j) % 4]
+                yield ("T4", f"theta={theta},Beta({a},{b})", round(100 * (1 - eps), 6),
+                       SequencePlan(rule=Rule.ROBBINS_EXACT, level=eps,
+                                    weight=BetaWeight(a, b), **bern))
+        two = dict(model=Model.TWO_BERNOULLI, truth=(0.2, 0.25), n_min=50, n_max=2000)
+        for i, (mu0, tau2, shown) in enumerate(((0, 2 * math.pi ** 2, "2pi^2"), (0, 5, 5),
+                                               (0, 1, 1), (0, 0.1, 0.1), (1, 5, 5),
+                                               (-1, 5, 5))):
+            eps = (0.05, 0.1, 0.2, 0.5)[i % 4]
+            yield ("T5", f"mu0={mu0},tau0sq={shown}", round(100 * (1 - eps), 6),
+                   SequencePlan(rule=Rule.ROBBINS_APPROX, level=eps,
+                                weight=NormalWeight(mu0, tau2), **two))
+
     def test_run_plan_matches_table_cell(self):
-        report = reproduce_table("T1", reps=300, seed=5)
-        cell = next(r for r in report.rows if r.level == 99.5)
-        row = run_plan(SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=0.0,
-                                    rule=Rule.CLASSICAL_Z, level=0.995,
-                                    n_min=10, n_max=4000, reps=300, seed=5))
-        assert (row.contradictions_pct, row.noncoverages_pct) == \
-            (cell.contradictions_pct, cell.noncoverages_pct)
+        # a table runs the cells that share a stream in one kernel call; each
+        # cell run alone must give the same row
+        reps, seed = 60, 5
+        cells = list(self._one_cell_per_row_label())
+        for table in ("T1", "T2", "T3", "T4", "T5"):
+            report = reproduce_table(table, reps=reps, seed=seed)
+            mine = [c for c in cells if c[0] == table]
+            assert {label for _, label, _, _ in mine} == {r.row_label for r in report.rows}
+            for _, label, level, plan in mine:
+                cell = next(r for r in report.rows
+                            if (r.row_label, r.level) == (label, level))
+                row = run_plan(dataclasses.replace(plan, reps=reps, seed=seed))
+                assert dataclasses.replace(row, table=table, row_label=label) == cell, \
+                    (table, label, level)
+        assert sum(c[0] == "T4" for c in cells) == 9
 
 
 class TestReporting:
