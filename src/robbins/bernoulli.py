@@ -2,10 +2,12 @@
 
 The conjugate Beta(alpha, beta) weight makes the mixture distribution of the
 sample sum beta-binomial, so log q_n is exact and the sequence is the binomial
-likelihood level set, solved numerically.  Comparators: the asymptotic
-likelihood-ratio interval at a fixed level, and a closed-form approximate
-sequence built on the variance-stabilising scale omega = arcsin(sqrt(theta)),
-where the estimator variance is 1/(4n) for every theta.
+likelihood level set at a drop below its maximum, solved by binomial_level_set
+for these scalar rules and the simulation kernel alike.  Comparators: the
+asymptotic likelihood-ratio interval at a fixed level (the same level set at a
+drop of chi2/2), and a closed-form approximate sequence built on the
+variance-stabilising scale omega = arcsin(sqrt(theta)), where the estimator
+variance is 1/(4n) for every theta.
 """
 
 from __future__ import annotations
@@ -16,14 +18,16 @@ from math import asin, log, pi, sqrt
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betaln, chdtri, gammaln, xlogy
+from scipy.special import betaln, chdtri, expit, gammaln, xlogy
 
 from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel
-from .engine import ConcaveLogLikelihood, MixtureLogDensity, concave_level_set, robbins_region
+from .engine import ConcaveLogLikelihood
 
 __all__ = [
     "BernoulliSuffStat",
+    "EndpointSolveError",
     "binomial_loglik",
+    "binomial_level_set",
     "beta_binomial_log_pmf",
     "robbins_interval_bernoulli",
     "lr_interval",
@@ -75,20 +79,71 @@ def beta_binomial_log_pmf(stat: BernoulliSuffStat, weight: BetaWeight) -> float:
     return float(_log_binom_coeff(n, s) + betaln(s + a, n - s + b) - betaln(a, b))
 
 
-def one_sided_endpoint(n, drop, s_is_zero: bool):
-    """Interior endpoint of the level set drop below the maximised
-    log-likelihood when that is monotone (s = 0 or s = n).
+class EndpointSolveError(ArithmeticError):
+    """The binomial level-set solve produced a non-finite or reversed interval."""
 
-    For s = 0 the log-likelihood is n log(1 - theta) up to a constant, so the
-    region is [0, -expm1(-drop/n)]; for s = n it is n log(theta) and the region
-    is [exp(-drop/n), 1].  Array-valued in n and drop.
+
+_NEWTON_STEPS = 6         # converged to rounding in <= 4 steps for drops up to 700
+
+
+def _newton_offset(s, n, drop):
+    """u = eta - eta_hat, eta = logit(theta), at the lower endpoint of the level
+    set for 0 < s < n and drop > 0.
+
+    With th = s/n the log-likelihood minus its maximum is
+    n [th u - log1p(th expm1(u))], concave in u with slope s - n theta; on u < 0
+    a Newton step from either side of the root lands at or below it, and the
+    steps then climb to it.  The start is the normal-approximation endpoint
+    -sqrt(2c), c = drop / (n th (1-th)), capped at log1p(c + sqrt(2c)): where
+    few failures make the log-likelihood fall exponentially below the mle, that
+    cap bounds the root, while the normal start lies far past it and Newton
+    would gain one unit per step.
     """
-    return -np.expm1(-drop / n) if s_is_zero else np.exp(-drop / n)
+    th = s / n
+    info = n * th * (1.0 - th)
+    c = drop / info
+    root = np.sqrt(2.0 * c)
+    u = -np.minimum(root, np.log1p(c + root))
+    for _ in range(_NEWTON_STEPS):
+        em = np.expm1(u)
+        t = th * em
+        u = u + (s * u - n * np.log1p(t) + drop) * (1.0 + t) / (info * em)
+    return u
 
 
-def _one_sided_interval(stat: BernoulliSuffStat, drop: float) -> Interval:
-    endpoint = float(one_sided_endpoint(stat.n, drop, stat.s == 0))
-    return Interval(0.0, endpoint) if stat.s == 0 else Interval(endpoint, 1.0)
+def binomial_level_set(s, n, drop):
+    """Endpoints (lower, upper) of {theta : s log theta + (n-s) log(1-theta)
+    >= l_max - drop}, array-valued in s, n and drop (broadcast together).
+
+    For 0 < s < n: fixed Newton steps on the logit scale (_newton_offset); the
+    upper endpoint is the lower endpoint of the reflected pair (n - s, n),
+    mirrored by theta -> 1 - theta.  At s = 0 the log-likelihood is
+    n log(1 - theta) and the set is [0, -expm1(-drop/n)]; at s = n it is
+    [exp(-drop/n), 1].  Raises ValueError unless 0 <= s <= n and n >= 1, and
+    EndpointSolveError on a non-finite or reversed pair of endpoints, as a
+    drop <= 0 gives for 0 < s < n and a drop < 0 for any s.
+    """
+    s, n, drop = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (s, n, drop)))
+    shape = s.shape
+    s, n, drop = s.ravel(), n.ravel(), drop.ravel()
+    if not np.all((0 <= s) & (s <= n) & (n >= 1)):
+        raise ValueError("binomial_level_set needs counts 0 <= s <= n with n >= 1")
+    lower, upper = np.zeros(s.shape), np.ones(s.shape)
+    inner = np.flatnonzero((s > 0) & (s < n))
+    zero, full = np.flatnonzero(s == 0), np.flatnonzero(s == n)
+    with np.errstate(all="ignore"):
+        si, ni, di = s[inner], n[inner], drop[inner]
+        eta_hat = np.log(si / (ni - si))
+        lower[inner] = expit(eta_hat + _newton_offset(si, ni, di))
+        upper[inner] = expit(eta_hat - _newton_offset(ni - si, ni, di))
+        upper[zero] = -np.expm1(-drop[zero] / n[zero])
+        lower[full] = np.exp(-drop[full] / n[full])
+    bad = ~(np.isfinite(lower) & np.isfinite(upper) & (lower <= upper))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise EndpointSolveError(f"invalid level-set endpoints [{lower[i]}, {upper[i]}] "
+                                 f"at n={int(n[i])}, s={int(s[i])} (drop {drop[i]})")
+    return lower.reshape(shape), upper.reshape(shape)
 
 
 def robbins_interval_bernoulli(stat: BernoulliSuffStat, weight: BetaWeight,
@@ -96,12 +151,10 @@ def robbins_interval_bernoulli(stat: BernoulliSuffStat, weight: BetaWeight,
     """Exact mixture sequence: level set of the binomial log-likelihood at
     log eps + log q_n.  Boundary data (s = 0 or s = n) gives a one-sided region
     clipped at 0 or 1."""
-    log_qn = beta_binomial_log_pmf(stat, weight)
-    if stat.s == 0 or stat.s == stat.n:
-        drop = binomial_loglik(stat).mle_loglik - level.log_epsilon - log_qn
-        return _one_sided_interval(stat, drop)
-    return robbins_region(binomial_loglik(stat), MixtureLogDensity(log_qn, "exact"),
-                          level, scale=0.25 / sqrt(stat.n))
+    n, s, a, b = stat.n, stat.s, weight.alpha, weight.beta
+    lmax = xlogy(s, stat.mle) + xlogy(n - s, 1.0 - stat.mle)
+    drop = lmax - (level.log_epsilon + float(betaln(s + a, n - s + b) - betaln(a, b)))
+    return Interval(*map(float, binomial_level_set(s, n, drop)))
 
 
 def lr_interval(stat: BernoulliSuffStat, conf: float) -> Interval:
@@ -110,10 +163,7 @@ def lr_interval(stat: BernoulliSuffStat, conf: float) -> Interval:
     if not (0.0 < conf < 1.0):
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
     drop = 0.5 * float(chdtri(1, 1.0 - conf))
-    if stat.s == 0 or stat.s == stat.n:
-        return _one_sided_interval(stat, drop)
-    ll = binomial_loglik(stat)
-    return concave_level_set(ll, ll.mle_loglik - drop, scale=0.25 / sqrt(stat.n))
+    return Interval(*map(float, binomial_level_set(stat.s, stat.n, drop)))
 
 
 def omega_weight_from_beta(weight: BetaWeight) -> NormalWeight:

@@ -180,8 +180,7 @@ def _interval_two_bernoulli(args):
             raise CliError("--weight: the exact conditional rule uses the built-in "
                            "log-odds weight (logodds)")
         level = _level(args)
-        log_qn = two_bernoulli.conditional_log_mixture(stat)
-        iv = two_bernoulli.robbins_conditional_interval(stat, level)
+        iv, log_qn = two_bernoulli._conditional_region(stat, level)
         meta["epsilon"] = level.epsilon
         meta["threshold"] = level.log_epsilon + log_qn.value
     elif rule == "approx":

@@ -6,7 +6,8 @@ The region at level 1 - epsilon is the likelihood level set
 
 where q_n is the mixture density of the data under the weight function.  For a
 strictly concave log-likelihood the set is an interval whose endpoints are
-found by geometric bracket expansion from the MLE followed by bisection.
+found by geometric bracket expansion from the MLE followed by bisection to an
+absolute tolerance (the Bernoulli rules use bernoulli.binomial_level_set).
 
 log q_n itself is produced three ways: exact closed forms supplied by the model
 modules, a Laplace (Gaussian-integral) approximation at the MLE, or adaptive
@@ -121,8 +122,9 @@ def _endpoint(loglik: ConcaveLogLikelihood, threshold: float, direction: int,
                 raise NoBracketError(
                     f"no level crossing within {_MAX_EXPANSIONS} expansions towards "
                     f"{'+' if direction > 0 else '-'}inf")
-            # probe just inside the open boundary
-            x_probe = bound - direction * max(xtol, 1e-13 * (1.0 + abs(bound)))
+            # probe inside the open boundary, strictly between x_in and the bound
+            x_probe = bound - direction * min(max(xtol, 1e-13 * (1.0 + abs(bound))),
+                                              0.5 * abs(bound - x_in))
             if loglik(x_probe) >= threshold:
                 return bound          # truncated at the domain boundary
             return _bisect_endpoint(loglik, x_in, x_probe, threshold, xtol)

@@ -25,13 +25,12 @@ Consecutive plans sharing their data streams run through one kernel call, which
 takes the plans themselves, so a cell equals its plan run alone by run_plan.
 
 The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
-log-odds) share one vectorised half-width.  The level-set rules
-(exact Bernoulli mixture, likelihood ratio) solve each distinct (n, s) pair once
-with a fixed number of Newton steps on the logit scale (closed forms at s = 0
-and s = n); the pair table is cut into fixed-size slices that run through the
-same chunk map as the replications, so every endpoint is the same for any
-worker count.  Both routes are pinned to the scalar library implementations by
-the test suite.
+log-odds) share one vectorised half-width, pinned to the scalar library rules by
+the test suite.  The level-set rules (exact Bernoulli mixture, likelihood ratio)
+solve each distinct (n, s) pair once with bernoulli.binomial_level_set, the
+solver behind the scalar rules too; the pair table is cut into fixed-size slices
+that run through the same chunk map as the replications, so every endpoint is
+the same for any worker count.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln, chdtri, expit, ndtri, xlogy
+from scipy.special import betaln, chdtri, ndtri, xlogy
 
-from .bernoulli import one_sided_endpoint
+from .bernoulli import EndpointSolveError, binomial_level_set
 from .core import BetaWeight, NormalWeight, WeightSpec
 from . import reference
 
@@ -71,7 +70,6 @@ __all__ = [
 
 CHUNK_REPS = 256          # fixed chunk size; never depends on the worker count
 SOLVE_PAIRS = 16384       # fixed slice of the (n, s) pair table; likewise
-_NEWTON_STEPS = 6         # converged to rounding in <= 4 steps for drops up to 700
 
 CSV_COLUMNS = ["table", "row_label", "level", "contradictions_pct", "noncoverages_pct",
                "se_contra", "se_noncov", "reps", "nmin", "nmax", "seed"]
@@ -332,49 +330,6 @@ def _two_bernoulli_counts(plans, threads):
 # level-set kernel (exact Bernoulli mixture, likelihood ratio)
 # ---------------------------------------------------------------------------
 
-def _newton_offset(s, n, drop):
-    """u = eta - eta_hat, eta = logit(theta), at the lower endpoint of
-    {theta: s log theta + (n-s) log(1-theta) >= l_max - drop} for 0 < s < n and
-    drop > 0.
-
-    With th = s/n the log-likelihood minus its maximum is
-    n [th u - log1p(th expm1(u))], concave in u with slope s - n theta; on u < 0
-    a Newton step from either side of the root lands at or below it, and the
-    steps then climb to it.  The start is
-    the normal-approximation endpoint -sqrt(2c), c = drop / (n th (1-th)),
-    capped at log1p(c + sqrt(2c)): where few failures make the log-likelihood
-    fall exponentially below the mle, that cap bounds the root, while the
-    normal start lies far past it and Newton would gain one unit per step.
-    """
-    th = s / n
-    info = n * th * (1.0 - th)
-    c = drop / info
-    root = np.sqrt(2.0 * c)
-    u = -np.minimum(root, np.log1p(c + root))
-    for _ in range(_NEWTON_STEPS):
-        em = np.expm1(u)
-        t = th * em
-        u = u + (s * u - n * np.log1p(t) + drop) * (1.0 + t) / (info * em)
-    return u
-
-
-def _bisect_lower_flat(s, n, drop):
-    """Vectorised lower endpoints of the level set at drop below the binomial
-    log-likelihood maximum, for interior pairs 0 < s < n (Newton solve; the
-    name is kept from the bisection it replaced)."""
-    return expit(np.log(s / (n - s)) + _newton_offset(s, n, drop))
-
-
-def _bisect_upper_flat(s, n, drop):
-    """Upper endpoints: the lower endpoint of the reflected pair (n - s, n),
-    mirrored by theta -> 1 - theta on the logit scale."""
-    return expit(np.log(s / (n - s)) - _newton_offset(n - s, n, drop))
-
-
-class EndpointSolveError(ArithmeticError):
-    """A level-set kernel produced a non-finite interval endpoint."""
-
-
 def _bernoulli_counts(plans, threads):
     """Counts per plan for the exact, likelihood-ratio and arcsine rules.
     Generates the success-count matrix once, solves the level-set endpoints for
@@ -411,32 +366,17 @@ def _bernoulli_counts(plans, threads):
             s = (pair - offset[col] + smin[col]).astype(float)
             that = s / n
             lmax = xlogy(s, that) + xlogy(n - s, 1.0 - that)
-            inner = np.flatnonzero((s > 0) & (s < n))
-            zero, full = np.flatnonzero(s == 0), np.flatnonzero(s == n)
             log_q = {}
             for k, plan in enumerate(pair_plans):
                 w = plan.weight
                 if w is None:       # likelihood ratio
-                    drop = np.full(s.shape, 0.5 * float(chdtri(1, 1.0 - plan.level)))
+                    drop = 0.5 * float(chdtri(1, 1.0 - plan.level))
                 else:
                     if w not in log_q:
                         log_q[w] = (betaln(s + w.alpha, n - s + w.beta)
                                     - float(betaln(w.alpha, w.beta)))
                     drop = lmax - (math.log(plan.level) + log_q[w])
-                lo, up = lower[k, p0:p1], upper[k, p0:p1]
-                with np.errstate(all="ignore"):
-                    lo[inner] = _bisect_lower_flat(s[inner], n[inner], drop[inner])
-                    up[inner] = _bisect_upper_flat(s[inner], n[inner], drop[inner])
-                    lo[zero] = 0.0
-                    up[zero] = one_sided_endpoint(n[zero], drop[zero], s_is_zero=True)
-                    lo[full] = one_sided_endpoint(n[full], drop[full], s_is_zero=False)
-                    up[full] = 1.0
-                bad = ~(np.isfinite(lo) & np.isfinite(up))
-                if bad.any():
-                    i = int(np.argmax(bad))
-                    raise EndpointSolveError(
-                        f"non-finite {plan.rule.value} endpoint [{lo[i]}, {up[i]}] at "
-                        f"n={int(n[i])}, s={int(s[i])} (drop {drop[i]})")
+                lower[k, p0:p1], upper[k, p0:p1] = binomial_level_set(s, n, drop)
 
         _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
 

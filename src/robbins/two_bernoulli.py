@@ -197,11 +197,16 @@ def conditional_log_mixture(stat: TwoSampleStat):
     return _conditional_mixture(stat)[2]
 
 
+def _conditional_region(stat: TwoSampleStat, level: PersistenceLevel) -> tuple:
+    """(interval, log q) of the exact conditional sequence, from one quadrature."""
+    ll, sd, log_qn = _conditional_mixture(stat)
+    return robbins_region(ll, log_qn, level, scale=sd), log_qn
+
+
 def robbins_conditional_interval(stat: TwoSampleStat, level: PersistenceLevel) -> Interval:
     """Exact conditional sequence for the log-odds ratio: the level set of the
     tilted conditional log-likelihood at log eps + log q."""
-    ll, sd, log_qn = _conditional_mixture(stat)
-    return robbins_region(ll, log_qn, level, scale=sd)
+    return _conditional_region(stat, level)[0]
 
 
 def continuity_corrected_estimates(stat: TwoSampleStat) -> tuple:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betaln, xlogy
 
-from robbins import engine
 from robbins.bernoulli import (BernoulliSuffStat, arcsine_approx_interval,
-                               beta_binomial_log_pmf, binomial_loglik, lr_interval,
-                               omega_weight_from_beta, robbins_interval_bernoulli)
+                               beta_binomial_log_pmf, lr_interval, omega_weight_from_beta,
+                               robbins_interval_bernoulli)
 from robbins.core import BetaWeight, NormalWeight, PersistenceLevel
 from robbins.engine import ConcaveLogLikelihood, quadrature_log_mixture, robbins_region
 

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import pytest
 
@@ -74,6 +73,27 @@ class TestIntervalCommand:
         lo, hi = map(float, out.splitlines()[0].split())
         assert lo == pytest.approx(-0.2508, abs=1e-4)
         assert hi == pytest.approx(2.2933, abs=1e-4)
+
+    def test_conditional_rule_runs_one_quadrature(self, capsys, monkeypatch):
+        calls = []
+        quadrature = two_bernoulli.quadrature_log_mixture
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(two_bernoulli, "quadrature_log_mixture", counted)
+        rc, out, _ = run(capsys, "interval", "--model", "two-bernoulli", "--rule", "exact",
+                         "--n1", "30", "--n2", "70", "--s1", "20", "--s2", "30",
+                         "--epsilon", "0.2", "--format", "json")
+        assert rc == 0
+        assert len(calls) == 1
+        obj = json.loads(out)
+        stat, level = two_bernoulli.TwoSampleStat(30, 70, 20, 30), PersistenceLevel(0.2)
+        iv = two_bernoulli.robbins_conditional_interval(stat, level)
+        assert (obj["lower"], obj["upper"]) == (iv.lower, iv.upper)
+        assert obj["threshold"] == \
+            level.log_epsilon + two_bernoulli.conditional_log_mixture(stat).value
 
     def test_missing_argument_named(self, capsys):
         rc, _, err = run(capsys, "interval", "--model", "bernoulli", "--n", "100",

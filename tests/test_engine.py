@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import betaln, xlogy
+from scipy.special import betaln
 
-from robbins import bernoulli, engine, normal
+from robbins import bernoulli, normal
 from robbins.core import BetaWeight, NormalWeight, PersistenceLevel
-from robbins.engine import (ConcaveLogLikelihood, MixtureLogDensity, NoBracketError,
-                            NonFiniteIntegrandError, ThresholdAboveMaxError,
-                            closed_form_half_width, concave_level_set, laplace_log_mixture,
-                            quadrature_log_mixture, robbins_region, verify_ville_inequality)
+from robbins.engine import (BISECT_XTOL, ConcaveLogLikelihood, NoBracketError, NonFiniteIntegrandError,
+                            ThresholdAboveMaxError, closed_form_half_width, concave_level_set,
+                            laplace_log_mixture, quadrature_log_mixture, robbins_region,
+                            verify_ville_inequality)
 
 EPS02 = PersistenceLevel(0.2)
 
@@ -74,6 +74,18 @@ class TestRobbinsRegion:
         assert iv.lower == 0.0
         T = level.log_epsilon + log_qn
         assert iv.upper == pytest.approx(1.0 - math.exp(T / stat.n), abs=1e-9)
+
+    @pytest.mark.parametrize("s", [1, 10 ** 12 - 1])
+    def test_mle_within_xtol_of_support_boundary(self, s):
+        # the mle lies 1e-12 from a support edge, closer than xtol: the probe
+        # at the edge must stay between the mle and the edge
+        stat = bernoulli.BernoulliSuffStat(10 ** 12, s)
+        ll = bernoulli.binomial_loglik(stat)
+        iv = concave_level_set(ll, ll.mle_loglik - 2.0)
+        assert iv.lower <= stat.mle <= iv.upper
+        lower, upper = bernoulli.binomial_level_set(s, stat.n, 2.0)
+        assert iv.lower == pytest.approx(float(lower), abs=BISECT_XTOL)
+        assert iv.upper == pytest.approx(float(upper), abs=BISECT_XTOL)
 
     def test_level_set_hits_threshold(self):
         stat = bernoulli.BernoulliSuffStat(137, 52)

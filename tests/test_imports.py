@@ -1,0 +1,43 @@
+"""Every module in src/robbins (the package __init__ aside) and every test
+module uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "robbins").glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that the module never loads; a name
+    listed in a module-level __all__ counts as used (a re-export)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_detector_flags_unused_and_keeps_used():
+    source = ("import math\nimport os.path\nfrom numpy import nan as missing, inf\n"
+              "from .x import y\n__all__ = ['y']\nprint(math.pi, inf)\n")
+    assert unused_imports(source) == ["missing (line 3)", "os (line 2)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

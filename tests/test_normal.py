@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from robbins import engine, normal
-from robbins.core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel
+from robbins.core import NormalInverseGamma, NormalWeight, PersistenceLevel
 from robbins.normal import (NormalSuffStat, approx_interval_unknown_var, classical_interval,
                             nig_log_marginal, nig_profile_interval, profile_loglik,
                             robbins_interval_known_var)

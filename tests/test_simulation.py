@@ -221,15 +221,13 @@ def _fine_bisection(s, n, T, iters=200):
 
 
 class TestLevelSetKernelEndpoints:
-    """The kernel's Newton solve of the binomial level set, checked against the
+    """The shared Newton solve of the binomial level set, checked against the
     scalar library rules and against a fine bisection."""
 
     @staticmethod
     def _solve(s, n, drop):
-        from robbins.simulation import _bisect_lower_flat, _bisect_upper_flat
         s, n, drop = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, n, drop))
-        drop = np.broadcast_to(drop, s.shape)
-        return _bisect_lower_flat(s, n, drop), _bisect_upper_flat(s, n, drop)
+        return bernoulli.binomial_level_set(s, n, drop)
 
     def test_newton_solver_matches_library_intervals(self):
         from scipy.special import betaln, chdtri, xlogy
@@ -270,11 +268,11 @@ class TestLevelSetKernelEndpoints:
             assert np.max(np.abs(hi - ref_hi)) <= 1e-12
 
     def test_boundary_pairs_closed_form(self):
-        from robbins.bernoulli import one_sided_endpoint
         n = np.array([1, 2, 3, 10, 100, 4000], dtype=float)
         for drop in (0.05, 1.3, 4.0, 30.0):
-            up0 = one_sided_endpoint(n, drop, s_is_zero=True)
-            lon = one_sided_endpoint(n, drop, s_is_zero=False)
+            lo0, up0 = self._solve(np.zeros_like(n), n, drop)
+            lon, upn = self._solve(n, n, drop)
+            assert np.all(lo0 == 0.0) and np.all(upn == 1.0)
             # s = 0: l = n log(1 - theta), region [0, up0]; s = n: l = n log(theta)
             _, ref_up0 = _fine_bisection(np.zeros_like(n), n, -drop)
             ref_lon, _ = _fine_bisection(n.copy(), n, -drop)
@@ -286,6 +284,31 @@ class TestLevelSetKernelEndpoints:
             pytest.approx(-math.expm1(-drop / 50), abs=1e-15)
         assert bernoulli.lr_interval(statn, 0.9).lower == \
             pytest.approx(math.exp(-drop / 50), abs=1e-15)
+
+    @pytest.mark.parametrize("s,n", [(-1, 5), (6, 5), (0, 0), (math.nan, 5)])
+    def test_counts_outside_the_sample_rejected(self, s, n):
+        with pytest.raises(ValueError):
+            self._solve(s, n, 1.0)
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 8, 10 ** 10])
+    def test_scalar_rules_at_large_n(self, n):
+        # lower endpoints at s = 1 lie far below any absolute tolerance; the
+        # Newton solve keeps 1e-6 relative accuracy up to n = 1e10 (5e-6 at 1e11)
+        from scipy.special import betaln, chdtri, xlogy
+        weight, lvl, conf = BetaWeight(0.5, 0.5), PersistenceLevel(0.2), 0.95
+        for s in (1, 3, n - 3, n - 1):
+            stat = bernoulli.BernoulliSuffStat(n, s)
+            lmax = float(xlogy(s, s / n) + xlogy(n - s, 1 - s / n))
+            for iv, T in (
+                    (bernoulli.robbins_interval_bernoulli(stat, weight, lvl),
+                     lvl.log_epsilon + float(betaln(s + 0.5, n - s + 0.5) - betaln(0.5, 0.5))),
+                    (bernoulli.lr_interval(stat, conf),
+                     lmax - 0.5 * float(chdtri(1, 1 - conf)))):
+                assert iv.lower <= s / n <= iv.upper
+                assert iv.lower > 0.0
+                ref_lo, ref_hi = _fine_bisection(np.array([float(s)]), np.array([float(n)]), T)
+                assert iv.lower == pytest.approx(ref_lo[0], rel=1e-6, abs=0.0), (n, s)
+                assert iv.upper == pytest.approx(ref_hi[0], rel=1e-6, abs=0.0), (n, s)
 
     def test_kernel_boundary_pairs_match_monitor_replay_without_warnings(self, recwarn):
         # small theta and n from 1: s = 0 and s = n both occur in the pair table
@@ -315,11 +338,17 @@ class TestLevelSetKernelEndpoints:
 
     def test_non_finite_endpoint_raises_named_error(self, recwarn):
         # conf = 1e-300 rounds the likelihood-ratio drop to exactly 0, a level
-        # set with no interior: the solver must fail loudly, not warn
+        # set with no interior: the shared solver must fail loudly, not warn,
+        # in the kernel and in the scalar rule alike
         plan = SequencePlan(model=Model.BERNOULLI, truth=0.5, rule=Rule.LIKELIHOOD_RATIO,
                             level=1e-300, n_min=10, n_max=50, reps=4, seed=1)
         with pytest.raises(EndpointSolveError):
             run_plan(plan)
+        with pytest.raises(EndpointSolveError):
+            bernoulli.lr_interval(bernoulli.BernoulliSuffStat(20, 7), 1e-300)
+        for s in (0, 10):       # a negative drop reverses the closed-form endpoints
+            with pytest.raises(EndpointSolveError):
+                bernoulli.binomial_level_set(s, 10, -1.0)
         assert issubclass(EndpointSolveError, ArithmeticError)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
