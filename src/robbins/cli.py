@@ -348,8 +348,11 @@ def cmd_ville_check(args) -> int:
         path = bernoulli.ville_log_ratio_path(theta, w)
     else:
         raise CliError(f"--model must be normal or bernoulli, got {model!r}")
-    res = engine.verify_ville_inequality(path, k=args.k, n_max=args.nmax,
-                                         reps=args.reps, seed=args.seed)
+    try:
+        res = engine.verify_ville_inequality(path, k=args.k, n_max=args.nmax,
+                                             reps=args.reps, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc))
     verdict = "PASS" if res.passed else "FAIL"
     if args.format == "json":
         print(json.dumps({"estimate": res.estimate, "bound": res.bound,

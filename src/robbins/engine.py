@@ -278,6 +278,8 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     """
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
+    if not (reps >= 1 and n_max >= 1):
+        raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
     from .simulation import replication_rng
     log_k = math.log(k)
     crossings = 0

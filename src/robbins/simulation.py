@@ -4,8 +4,8 @@ how often a sequence contradicts itself or misses the truth.
 Per replication, the monitor state reduces to the running maximum of lower
 endpoints and running minimum of upper endpoints (see core.SequenceMonitor);
 the final flags depend only on the global max/min over the monitored range, so
-the kernels compute whole (replication x n) endpoint arrays and reduce along n.
-Every sample size in [n_min, n_max] is monitored.
+the kernels reduce endpoints in fixed column tiles, carrying the running
+max/min across tiles.  Every sample size in [n_min, n_max] is monitored.
 
 Determinism contract
 --------------------
@@ -70,6 +70,7 @@ __all__ = [
 
 CHUNK_REPS = 256          # fixed chunk size; never depends on the worker count
 SOLVE_PAIRS = 16384       # fixed slice of the (n, s) pair table; likewise
+TILE_COLS = 256           # fixed column tile of the flag scan; likewise
 
 CSV_COLUMNS = ["table", "row_label", "level", "contradictions_pct", "noncoverages_pct",
                "se_contra", "se_noncov", "reps", "nmin", "nmax", "seed"]
@@ -236,41 +237,51 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _flag_scan(nplans, m, ncols, tile_ends, truth) -> np.ndarray:
+    """(contradicted, noncovered) counts per plan, shape (nplans, 2), for a chunk of
+    m replications monitored at ncols sample sizes.  tile_ends(j0, j1) yields each
+    plan's (lower, upper) endpoint arrays on the columns [j0, j1) of one fixed
+    TILE_COLS-wide tile; the running max of lower and min of upper endpoints are
+    carried across the tiles and turned into flags once, at the end."""
+    maxlo = np.full((nplans, m), -np.inf)
+    minup = np.full((nplans, m), np.inf)
+    for j0 in range(0, ncols, TILE_COLS):
+        for k, (lower, upper) in enumerate(tile_ends(j0, min(j0 + TILE_COLS, ncols))):
+            np.maximum(maxlo[k], lower.max(axis=1), out=maxlo[k])
+            np.minimum(minup[k], upper.min(axis=1), out=minup[k])
+    return np.stack([np.count_nonzero(maxlo > minup, axis=1),
+                     np.count_nonzero((maxlo > truth) | (minup < truth), axis=1)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form kernels (normal, two-bernoulli, arcsine)
 # ---------------------------------------------------------------------------
 
-def _flag_counts(lower, upper, truth):
-    """(contradicted, noncovered) replication counts from endpoint arrays of
-    shape (reps_chunk, n_count)."""
-    maxlo, minup = lower.max(axis=1), upper.min(axis=1)
-    return (np.count_nonzero(maxlo > minup),
-            np.count_nonzero((maxlo > truth) | (minup < truth)))
+def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarray:
+    """Flag counts per plan (see _flag_scan) of est +/- d, est_v(j0, j1) giving the
+    estimates and variances on one tile: d = z sqrt(v) for a fixed-level rule, else the
+    mixture half-width sqrt(v (log(tv/v) + (est - mu0)^2/tv - 2 log eps)), tv =
+    tau0_sq + v, whose eps-free part is built once per tile and run of plans
+    sharing a weight.  bounds(est, d) maps the endpoints to the parameter scale."""
+    def tile_ends(j0, j1):
+        est, v = est_v(j0, j1)
+        for w, run in itertools.groupby(plans, key=lambda plan: plan.weight):
+            if w is not None:
+                tv = w.tau0_sq + v
+                base = np.log(tv / v) + (est - w.mu0) ** 2 / tv
+            for plan in run:
+                if w is None:
+                    d = float(ndtri(0.5 * (1.0 + plan.level))) * np.sqrt(v)
+                else:
+                    d = np.sqrt(v * (base - 2.0 * math.log(plan.level)))
+                yield (est - d, est + d) if bounds is None else bounds(est, d)
 
-
-def _closed_form_counts(plans, est, v, truth, bounds=None) -> list:
-    """Flag counts per plan of est +/- d: d = z sqrt(v) for a fixed-level rule,
-    else the mixture half-width sqrt(v (log(tv/v) + (est - mu0)^2/tv - 2 log eps)),
-    tv = tau0_sq + v, whose eps-free part is built once per run of plans sharing
-    a weight.  bounds(est, d) maps the endpoints to the parameter scale."""
-    counts = []
-    for w, run in itertools.groupby(plans, key=lambda plan: plan.weight):
-        if w is not None:
-            tv = w.tau0_sq + v
-            base = np.log(tv / v) + (est - w.mu0) ** 2 / tv
-        for plan in run:
-            if w is None:
-                d = float(ndtri(0.5 * (1.0 + plan.level))) * np.sqrt(v)
-            else:
-                d = np.sqrt(v * (base - 2.0 * math.log(plan.level)))
-            lower, upper = (est - d, est + d) if bounds is None else bounds(est, d)
-            counts.append(_flag_counts(lower, upper, truth))
-    return counts
+    return _flag_scan(len(plans), m, ncols, tile_ends, truth)
 
 
 def _sin2_bounds(omega, d):
-    """Arcsine scale back to theta = sin^2(omega), clipped to [0, pi/2].  Built in
-    place: these chunk-sized arrays set the Bernoulli kernel's peak memory."""
+    """Arcsine scale back to theta = sin^2(omega), clipped to [0, pi/2]; built in
+    place on the tile's endpoint arrays."""
     lower, upper = omega - d, omega + d
     np.square(np.sin(np.maximum(lower, 0.0, out=lower), out=lower), out=lower)
     np.square(np.sin(np.minimum(upper, 0.5 * math.pi, out=upper), out=upper), out=upper)
@@ -288,13 +299,13 @@ def _normal_counts(plans, threads):
 
     def worker(r0, r1):
         m = r1 - r0
-        ybar = np.empty((m, n_max))
+        total = np.empty((m, n_max))
         for i in range(m):
-            ybar[i] = replication_rng(seed, r0 + i).standard_normal(n_max)
-        ybar = theta + sigma0 * ybar
-        np.cumsum(ybar, axis=1, out=ybar)
-        ybar = ybar[:, n_min - 1:] / ns
-        return np.array(_closed_form_counts(plans, ybar, v, theta), dtype=np.int64)
+            total[i] = theta + sigma0 * replication_rng(seed, r0 + i).standard_normal(n_max)
+        np.cumsum(total, axis=1, out=total)
+        total = total[:, n_min - 1:]
+        return _closed_form_counts(plans, m, ns.size, lambda j0, j1: (
+            total[:, j0:j1] / ns[j0:j1], v[j0:j1]), theta)
 
     return _tally(_map_chunks(worker, p.reps, threads))
 
@@ -309,19 +320,22 @@ def _two_bernoulli_counts(plans, threads):
 
     def worker(r0, r1):
         m = r1 - r0
-        s1 = np.empty((m, n_max - n_min + 1))
+        s1 = np.empty((m, ns.size))
         s2 = np.empty_like(s1)
         for i in range(m):
             u = replication_rng(seed, r0 + i).random((2, n_max))
             s1[i] = np.cumsum(u[0] < theta1)[n_min - 1:]
             s2[i] = np.cumsum(u[1] < theta2)[n_min - 1:]
-        a = s1 + 0.5
-        b = (ns - s1) + 0.5
-        c = s2 + 0.5
-        d4 = (ns - s2) + 0.5
-        psi = np.log((a * d4) / (b * c))
-        v = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
-        return np.array(_closed_form_counts(plans, psi, v, psi_true), dtype=np.int64)
+
+        def est_v(j0, j1):
+            t1, t2, n = s1[:, j0:j1], s2[:, j0:j1], ns[j0:j1]
+            a = t1 + 0.5
+            b = (n - t1) + 0.5
+            c = t2 + 0.5
+            d4 = (n - t2) + 0.5
+            return np.log((a * d4) / (b * c)), 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
+
+        return _closed_form_counts(plans, m, ns.size, est_v, psi_true)
 
     return _tally(_map_chunks(worker, p.reps, threads))
 
@@ -332,28 +346,34 @@ def _two_bernoulli_counts(plans, threads):
 
 def _bernoulli_counts(plans, threads):
     """Counts per plan for the exact, likelihood-ratio and arcsine rules.
-    Generates the success-count matrix once, solves the level-set endpoints for
-    every (n, s) pair between the smallest and largest count observed at each
-    n, then scans replications."""
+    Generates each chunk's success counts and flags the arcsine plans from them
+    at once.  With a level-set plan the counts are kept in one reps x n matrix,
+    the endpoints are solved for every (n, s) pair between the smallest and
+    largest count observed at each n, and the replications are scanned."""
     p = plans[0]
     theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
     ns = np.arange(n_min, n_max + 1)
-    S = np.empty((p.reps, n_max), dtype=np.min_scalar_type(n_max))
-
-    def gen_worker(r0, r1):
-        for i in range(r0, r1):
-            S[i] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)
-        return np.zeros(1, dtype=np.int64)
-
-    _map_chunks(gen_worker, p.reps, threads)
-    Sm = S[:, n_min - 1:]
-
+    count_type = np.min_scalar_type(n_max)
     is_pair = np.array([pl.rule != Rule.ROBBINS_APPROX for pl in plans])
     pair_plans = [pl for pl, pair in zip(plans, is_pair) if pair]
     arc_plans = [pl for pl, pair in zip(plans, is_pair) if not pair]
+    S = np.empty((p.reps, ns.size), dtype=count_type) if pair_plans else None
+
+    def gen_worker(r0, r1):
+        sc = np.empty((r1 - r0, ns.size), dtype=count_type) if S is None else S[r0:r1]
+        for i in range(r0, r1):
+            sc[i - r0] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)[n_min - 1:]
+        if not arc_plans:
+            return np.zeros((0, 2), dtype=np.int64)
+        return _closed_form_counts(arc_plans, r1 - r0, ns.size, lambda j0, j1: (
+            np.arcsin(np.sqrt(sc[:, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
+            theta, _sin2_bounds)
+
+    counts = np.zeros((len(plans), 2), dtype=np.int64)
+    counts[~is_pair] = _tally(_map_chunks(gen_worker, p.reps, threads))
     if pair_plans:
-        smin = Sm.min(axis=0).astype(np.int64)
-        width = Sm.max(axis=0) - smin + 1
+        smin = S.min(axis=0).astype(np.int64)
+        width = S.max(axis=0) - smin + 1
         offset = np.concatenate(([0], np.cumsum(width)[:-1]))
         npairs = int(width.sum())
         lower = np.empty((len(pair_plans), npairs))
@@ -380,20 +400,15 @@ def _bernoulli_counts(plans, threads):
 
         _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
 
-    def scan_worker(r0, r1):
-        sc = Sm[r0:r1].astype(np.int64)
-        counts = np.zeros((len(plans), 2), dtype=np.int64)
-        if pair_plans:
-            idx = offset[None, :] + (sc - smin[None, :])
-            counts[is_pair] = [_flag_counts(lower[k][idx], upper[k][idx], theta)
-                               for k in range(len(pair_plans))]
-        if arc_plans:
-            omega = np.arcsin(np.sqrt(sc / ns))
-            counts[~is_pair] = _closed_form_counts(arc_plans, omega, 0.25 / ns, theta,
-                                                   _sin2_bounds)
-        return counts
+        def scan_worker(r0, r1):
+            def tile_ends(j0, j1):
+                idx = offset[j0:j1] + (S[r0:r1, j0:j1] - smin[j0:j1])
+                return ((lower[k][idx], upper[k][idx]) for k in range(len(pair_plans)))
 
-    return _tally(_map_chunks(scan_worker, p.reps, threads))
+            return _flag_scan(len(pair_plans), r1 - r0, ns.size, tile_ends, theta)
+
+        counts[is_pair] = _tally(_map_chunks(scan_worker, p.reps, threads))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,13 @@ class TestVilleCheckCommand:
         assert rc == 2
         assert "--k" in err
 
+    @pytest.mark.parametrize("size", [["--reps", "-5"], ["--reps", "0"], ["--nmax", "0"]])
+    def test_degenerate_sizes_rejected(self, capsys, size):
+        rc, out, err = run(capsys, "ville-check", "--k", "10", *size)
+        assert rc == 2
+        assert "PASS" not in out
+        assert "reps >= 1 and n_max >= 1" in err
+
     def test_normal_pass(self, capsys):
         rc, out, _ = run(capsys, "ville-check", "--k", "5", "--reps", "300",
                          "--nmax", "200")

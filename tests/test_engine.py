@@ -279,3 +279,9 @@ class TestVille:
         path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
         with pytest.raises(ValueError):
             verify_ville_inequality(path, k=0.0, n_max=10, reps=10, seed=1)
+
+    @pytest.mark.parametrize("reps, n_max", [(-2, 10), (0, 10), (10, 0)])
+    def test_rejects_degenerate_sizes(self, reps, n_max):
+        path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
+        with pytest.raises(ValueError, match="reps >= 1 and n_max >= 1"):
+            verify_ville_inequality(path, k=10.0, n_max=n_max, reps=reps, seed=1)

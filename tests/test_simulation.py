@@ -2,11 +2,12 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from robbins import bernoulli, normal, reference, two_bernoulli
+from robbins import bernoulli, normal, reference, simulation, two_bernoulli
 from robbins.core import BetaWeight, NormalWeight, PersistenceLevel, SequenceMonitor
 from robbins.simulation import (CSV_COLUMNS, CellComparison, EndpointSolveError, Model,
                                 ReportRow, Rule, SOLVE_PAIRS, SequencePlan, TableReport,
@@ -104,11 +105,23 @@ def _slow_flags(model_update, truth, reps, seed):
     return contra, noncov
 
 
+def _assert_rates_at_tile_widths(monkeypatch, plan, slow):
+    """run_plan's rates equal the replayed (contradictions, noncoverages) at tile
+    widths 1, 7 (a ragged last tile) and the default, so the running max/min is
+    carried across tiles."""
+    for width in (1, 7, simulation.TILE_COLS):
+        monkeypatch.setattr(simulation, "TILE_COLS", width)
+        row = run_plan(plan)
+        assert (row.contradictions_pct, row.noncoverages_pct) == \
+            (100.0 * slow[0] / plan.reps, 100.0 * slow[1] / plan.reps), (plan.rule, width)
+
+
 class TestKernelsMatchMonitorReplay:
     """The vectorised kernels must agree, replication by replication, with the
-    scalar interval functions replayed through the running monitor."""
+    scalar interval functions replayed through the running monitor, whatever
+    the column tile width of the flag scan."""
 
-    def test_normal_rules(self):
+    def test_normal_rules(self, monkeypatch):
         theta, s2, n_min, n_max, reps, seed = 0.3, 2.0, 5, 60, 40, 99
         w = NormalWeight(0.5, 1.5)
         lvl = PersistenceLevel(0.2)
@@ -129,17 +142,14 @@ class TestKernelsMatchMonitorReplay:
 
         base = dict(model=Model.NORMAL_KNOWN_VAR, truth=theta, sigma0_sq=s2,
                     n_min=n_min, n_max=n_max, reps=reps, seed=seed)
-        row = run_plan(SequencePlan(rule=Rule.ROBBINS_EXACT, level=0.2, weight=w, **base))
-        slow = _slow_flags(replay_robbins, theta, reps, seed)
-        assert (row.contradictions_pct, row.noncoverages_pct) == \
-            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
+        _assert_rates_at_tile_widths(
+            monkeypatch, SequencePlan(rule=Rule.ROBBINS_EXACT, level=0.2, weight=w, **base),
+            _slow_flags(replay_robbins, theta, reps, seed))
+        _assert_rates_at_tile_widths(
+            monkeypatch, SequencePlan(rule=Rule.CLASSICAL_Z, level=0.9, **base),
+            _slow_flags(replay_z, theta, reps, seed))
 
-        row = run_plan(SequencePlan(rule=Rule.CLASSICAL_Z, level=0.9, **base))
-        slow = _slow_flags(replay_z, theta, reps, seed)
-        assert (row.contradictions_pct, row.noncoverages_pct) == \
-            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
-
-    def test_bernoulli_rules(self):
+    def test_bernoulli_rules(self, monkeypatch):
         theta, n_min, n_max, reps, seed = 0.6, 3, 120, 30, 31
         weight = BetaWeight(2.0, 1.0)
         omega_w = bernoulli.omega_weight_from_beta(weight)
@@ -163,12 +173,10 @@ class TestKernelsMatchMonitorReplay:
              make_replay(lambda st: bernoulli.arcsine_approx_interval(st, omega_w, lvl))),
         ]
         for plan, replay in cases:
-            row = run_plan(plan)
-            slow = _slow_flags(replay, theta, reps, seed)
-            assert (row.contradictions_pct, row.noncoverages_pct) == \
-                (100.0 * slow[0] / reps, 100.0 * slow[1] / reps), plan.rule
+            _assert_rates_at_tile_widths(monkeypatch, plan,
+                                         _slow_flags(replay, theta, reps, seed))
 
-    def test_two_bernoulli_rules(self):
+    def test_two_bernoulli_rules(self, monkeypatch):
         th1, th2, n_min, n_max, reps, seed = 0.25, 0.4, 2, 80, 30, 17
         w = NormalWeight(0.0, 5.0)
         lvl = PersistenceLevel(0.2)
@@ -193,10 +201,8 @@ class TestKernelsMatchMonitorReplay:
              make_replay(lambda st: two_bernoulli.wald_interval(st, 0.99))),
         ]
         for plan, replay in cases:
-            row = run_plan(plan)
-            slow = _slow_flags(replay, psi_true, reps, seed)
-            assert (row.contradictions_pct, row.noncoverages_pct) == \
-                (100.0 * slow[0] / reps, 100.0 * slow[1] / reps), plan.rule
+            _assert_rates_at_tile_widths(monkeypatch, plan,
+                                         _slow_flags(replay, psi_true, reps, seed))
 
 
 def _fine_bisection(s, n, T, iters=200):
@@ -353,6 +359,31 @@ class TestLevelSetKernelEndpoints:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+class TestBoundedMemory:
+    """The flag scan keeps a running max/min per replication, so a kernel's
+    traced peak is set by one chunk of data, not by reps or by (chunk x n)
+    endpoint arrays."""
+
+    @pytest.mark.parametrize("rule, kw", [
+        (Rule.ROBBINS_APPROX, dict(model=Model.BERNOULLI, truth=0.3)),
+        (Rule.ROBBINS_EXACT, dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0)),
+    ], ids=["bernoulli-arcsine", "normal-exact"])
+    def test_peak_flat_in_reps_and_bounded(self, rule, kw):
+        peaks = []
+        for reps in (256, 1024):
+            plan = SequencePlan(rule=rule, level=0.1, weight=NormalWeight(0.5, 1.0),
+                                n_min=10, n_max=20_000, reps=reps, seed=3, **kw)
+            tracemalloc.start()
+            try:
+                run_plan(plan, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+        # one chunk of 256 x 20000 float64 running sums is 39 MiB
+        assert max(peaks) < 64, peaks
+
+
 class TestCountStorage:
     def test_counts_past_int16_range_match_int64_replay(self):
         # at theta = 0.9 the success count passes 32767 near n = 36400; counts
@@ -424,6 +455,15 @@ class TestDeterminism:
         texts = [reproduce_table("T3", reps=120, seed=6, threads=t).csv_text()
                  for t in (1, 2, 8)]
         assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("table", ["T3", "T5"])
+    def test_table_csv_identical_across_tile_widths(self, monkeypatch, table):
+        texts = []
+        for width in (7, simulation.TILE_COLS):
+            monkeypatch.setattr(simulation, "TILE_COLS", width)
+            texts += [reproduce_table(table, reps=150, seed=8, threads=t).csv_text()
+                      for t in (1, 2)]
+        assert len(set(texts)) == 1
 
     @staticmethod
     def _one_cell_per_row_label():
