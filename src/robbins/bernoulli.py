@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from math import asin, log, pi, sqrt
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betaln, chdtri, expit, gammaln, xlogy
 
 from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel
-from .engine import ConcaveLogLikelihood
+from .engine import ConcaveLogLikelihood, EndpointSolveError
 
 __all__ = [
     "BernoulliSuffStat",
@@ -77,10 +76,6 @@ def beta_binomial_log_pmf(stat: BernoulliSuffStat, weight: BetaWeight) -> float:
     n, s = stat.n, stat.s
     a, b = weight.alpha, weight.beta
     return float(_log_binom_coeff(n, s) + betaln(s + a, n - s + b) - betaln(a, b))
-
-
-class EndpointSolveError(ArithmeticError):
-    """The binomial level-set solve produced a non-finite or reversed interval."""
 
 
 _NEWTON_STEPS = 6         # converged to rounding in <= 4 steps for drops up to 700
@@ -173,6 +168,7 @@ def omega_weight_from_beta(weight: BetaWeight) -> NormalWeight:
     Beta(1/2, 1/2) maps to the uniform on (0, pi/2): mean pi/4, variance
     pi^2/48 (closed form used as a test oracle, not here).
     """
+    from scipy import integrate     # imported on use, as in engine.quadrature_log_mixture
     a, b = weight.alpha, weight.beta
     lognorm = -betaln(a, b)
 

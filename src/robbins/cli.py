@@ -183,6 +183,7 @@ def _interval_two_bernoulli(args):
         iv, log_qn = two_bernoulli._conditional_region(stat, level)
         meta["epsilon"] = level.epsilon
         meta["threshold"] = level.log_epsilon + log_qn.value
+        meta["mixture_rel_error"] = log_qn.rel_error
     elif rule == "approx":
         _require(args, ["--weight"], "rule approx")
         w = _expect_weight(args, NormalWeight)

@@ -5,7 +5,10 @@ given t, the first sample's success count follows the Fisher noncentral
 hypergeometric law tilted by exp(psi * s1), with psi the log-odds ratio.  The
 exact sequence mixes that conditional likelihood against a heavy-tailed
 symmetric weight on psi (the law of the log-odds ratio under independent
-Jeffreys weights on the two proportions).  The workhorse approximation uses
+Jeffreys weights on the two proportions).  As an exponential tilt the
+log-likelihood comes with its score and information from one pass over the
+support, so Newton steps find the MLE and the level-set endpoints; log q is a
+trapezoid sum on a uniform psi grid.  The workhorse approximation uses
 continuity-corrected point estimates in the closed-form normal sequence.
 """
 
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 from math import log, sqrt
 
 import numpy as np
-from scipy.special import gammaln, logsumexp, ndtri
+from scipy.special import gammaln, ndtri
 
 from .core import Interval, NormalWeight, PersistenceLevel
-from .engine import (ConcaveLogLikelihood, closed_form_half_width,
-                     quadrature_log_mixture, robbins_region)
+from .engine import (ConcaveLogLikelihood, EndpointSolveError, closed_form_half_width,
+                     concave_level_set, trapezoid_log_mixture)
 
 __all__ = [
     "TwoSampleStat",
@@ -39,6 +42,11 @@ __all__ = [
 ]
 
 _LOG_PI_SQ = 2.0 * math.log(math.pi)
+_MIXTURE_SDS = 40.0       # mixture domain psi_hat +/- 40 sd
+_MIXTURE_PANELS = 160     # first trapezoid step sd/2
+_NEWTON_RTOL = 1e-12      # Newton stops once a step is below 1e-12 (|psi| + sd)
+_NEWTON_CAP = 100
+_BLOCK_CELLS = 2 ** 17    # cells per grid log-sum-exp block: 1 MiB of float64
 
 
 class SupportError(ValueError):
@@ -81,59 +89,68 @@ def fnch_support(n1: int, n2: int, t: int) -> tuple:
     return max(0, t - n2), min(n1, t)
 
 
-def _base_log_weights(n1: int, n2: int, t: int):
-    """log C(n1, u) + log C(n2, t-u) over the support; the psi-free part of the
-    tilted pmf."""
-    lo, hi = fnch_support(n1, n2, t)
-    u = np.arange(lo, hi + 1)
-    base = (gammaln(n1 + 1) - gammaln(u + 1) - gammaln(n1 - u + 1)
-            + gammaln(n2 + 1) - gammaln(t - u + 1) - gammaln(n2 - t + u + 1))
-    return u, base
-
-
 def fnch_log_pmf(s1: int, n1: int, n2: int, t: int, psi: float) -> float:
     """Fisher noncentral hypergeometric log pmf of s1 given t at log-odds psi,
     normalised by log-sum-exp over the support."""
     lo, hi = fnch_support(n1, n2, t)
     if not (lo <= s1 <= hi):
         raise SupportError(f"s1={s1} outside support [{lo}, {hi}] for n1={n1}, n2={n2}, t={t}")
-    u, base = _base_log_weights(n1, n2, t)
-    w = base + psi * u
-    return float(base[s1 - lo] + psi * s1 - logsumexp(w))
+    return -_tilt(*_centred_tilt(n1, n2, s1, t), psi)[0]
 
 
-def _cond_mean_var(u, base, psi):
-    w = base + psi * u
-    p = np.exp(w - logsumexp(w))
-    m = float(np.sum(p * u))
-    return m, float(np.sum(p * (u - m) ** 2))
+def _centred_tilt(n1: int, n2: int, s1: int, t: int) -> tuple:
+    """(b, v) on the support u: v = u - s1 and b = log C(n1, u) C(n2, t-u) less
+    its value at s1, so the log pmf of s1 is -log sum exp(b + psi v)."""
+    lo, hi = fnch_support(n1, n2, t)
+    u = np.arange(lo, hi + 1)
+    b = -gammaln(u + 1) - gammaln(n1 - u + 1) - gammaln(t - u + 1) - gammaln(n2 - t + u + 1)
+    return b - b[s1 - lo], (u - s1).astype(float)
 
 
-def _cond_mle(u, base, s1: int) -> float:
-    """Conditional MLE by bisection on the score: E_psi[S1] is strictly
-    increasing in psi, and equals s1 at the maximum."""
-    lo, hi = -1.0, 1.0
-    while _cond_mean_var(u, base, lo)[0] > s1:
-        lo *= 2.0
-    while _cond_mean_var(u, base, hi)[0] < s1:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _cond_mean_var(u, base, mid)[0] < s1:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _tilt(b, v, psi: float) -> tuple:
+    """(log Z, mean, variance) of v under exp(b + psi v) / Z, in one max-shifted
+    pass: the negated log-likelihood, negated score and information at psi."""
+    w = b + psi * v
+    m = float(w.max())
+    e = np.exp(w - m)
+    z = float(e.sum())
+    mean = float(e @ v) / z
+    return m + log(z), mean, float(e @ (v - mean) ** 2) / z
 
 
-def conditional_loglik(stat: TwoSampleStat) -> ConcaveLogLikelihood:
-    """Conditional log-likelihood in psi, concave as a one-parameter
-    exponential-family tilt.
+def _log_partition(b, v, psi):
+    """log Z at each psi of a 1-d array, by (points x support) log-sum-exps over
+    blocks of at most _BLOCK_CELLS cells (one point at least)."""
+    out = np.empty(psi.size)
+    rows = max(1, _BLOCK_CELLS // v.size)
+    for i in range(0, psi.size, rows):
+        w = np.multiply.outer(psi[i:i + rows], v)
+        w += b
+        m = w.max(axis=1)
+        w -= m[:, None]
+        out[i:i + rows] = m + np.log(np.exp(w, out=w).sum(axis=1))
+        del w       # freed before the next block is allocated
+    return out
 
-    Raises UnboundedRegionError when t is degenerate (the likelihood is flat)
-    or s1 sits on the support edge (the likelihood is monotone and the MLE
-    escapes to +/- infinity).
-    """
+
+def _newton_root(f_df, x: float, lo: float, hi: float, scale: float) -> float:
+    """Root of a monotone f in (lo, hi) by Newton steps from x, f_df(x) giving
+    (f, f'); a step that leaves the bracket narrowed by the iterates bisects it."""
+    for _ in range(_NEWTON_CAP):
+        f, df = f_df(x)
+        lo, hi = (lo, x) if (f > 0) == (df > 0) else (x, hi)
+        x_new = x - f / df if df else math.nan
+        if abs(x_new - x) <= _NEWTON_RTOL * (abs(x) + scale):
+            return x_new
+        x = x_new if lo < x_new < hi else 0.5 * (lo + hi)
+        if not math.isfinite(x):
+            break
+    raise EndpointSolveError(f"no finite Newton root in [{lo}, {hi}] (last step to {x})")
+
+
+def _conditional_tilt(stat: TwoSampleStat) -> tuple:
+    """(log-likelihood, sd at the MLE, (b, v)); the MLE zeroes the score by
+    Newton steps from the continuity-corrected estimate, finite for every table."""
     t = stat.t
     lo, hi = fnch_support(stat.n1, stat.n2, t)
     if lo == hi:
@@ -142,16 +159,27 @@ def conditional_loglik(stat: TwoSampleStat) -> ConcaveLogLikelihood:
         raise UnboundedRegionError(
             f"s1={stat.s1} on the support edge [{lo}, {hi}]: monotone likelihood, "
             "one-sided unbounded region")
-    u, base = _base_log_weights(stat.n1, stat.n2, t)
-    idx = stat.s1 - lo
-    s1 = stat.s1
+    b, v = _centred_tilt(stat.n1, stat.n2, stat.s1, t)
+    psi_cc, v_cc = continuity_corrected_estimates(stat)
+    mle = _newton_root(lambda p: _tilt(b, v, p)[1:], psi_cc, -math.inf, math.inf, sqrt(v_cc))
+    log_z, _, var = _tilt(b, v, mle)
 
     def fn(psi):
-        w = base + psi * u
-        return base[idx] + psi * s1 - logsumexp(w)
+        return -_tilt(b, v, psi)[0]
 
-    psi_hat = _cond_mle(u, base, s1)
-    return ConcaveLogLikelihood(fn=fn, mle=psi_hat, mle_loglik=float(fn(psi_hat)))
+    return ConcaveLogLikelihood(fn=fn, mle=mle, mle_loglik=-log_z), 1.0 / sqrt(var), (b, v)
+
+
+def conditional_loglik(stat: TwoSampleStat) -> ConcaveLogLikelihood:
+    """Conditional log-likelihood in psi, concave as a one-parameter
+    exponential-family tilt, with score s1 - E_psi[S1] and information
+    Var_psi(S1).
+
+    Raises UnboundedRegionError when t is degenerate (the likelihood is flat)
+    or s1 sits on the support edge (the likelihood is monotone and the MLE
+    escapes to +/- infinity).
+    """
+    return _conditional_tilt(stat)[0]
 
 
 def log_odds_weight_log_density(psi):
@@ -178,29 +206,43 @@ def log_odds_weight_density(psi):
 
 
 def _conditional_mixture(stat: TwoSampleStat) -> tuple:
-    """(conditional log-likelihood, sd at the MLE, log q): the tilted pmf of s1
-    mixed over pi(psi) by quadrature on psi_hat +/- 40 sd, sd from the
-    conditional information."""
-    ll = conditional_loglik(stat)
-    u, base = _base_log_weights(stat.n1, stat.n2, stat.t)
-    _, var = _cond_mean_var(u, base, ll.mle)
-    sd = 1.0 / sqrt(var)
-    domain = (ll.mle - 40.0 * sd, ll.mle + 40.0 * sd)
-    return ll, sd, quadrature_log_mixture(ll, log_odds_weight_log_density, domain)
+    """(log-likelihood, sd at the MLE, log q, (b, v)): the tilted pmf of s1 mixed
+    over pi(psi) by engine.trapezoid_log_mixture on psi_hat +/- 40 sd, first step
+    sd/2.  The weight's poles lie at 2 pi i k and the tilt's partition function
+    has no zero near the real axis, so the integrand is analytic in a strip."""
+    ll, sd, (b, v) = _conditional_tilt(stat)
+    log_qn = trapezoid_log_mixture(
+        lambda psi: log_odds_weight_log_density(psi) - _log_partition(b, v, psi),
+        (ll.mle - _MIXTURE_SDS * sd, ll.mle + _MIXTURE_SDS * sd), _MIXTURE_PANELS)
+    return ll, sd, log_qn, (b, v)
 
 
 def conditional_log_mixture(stat: TwoSampleStat):
-    """log q for the conditional model: the tilted pmf of s1 mixed over pi(psi),
-    by quadrature on psi_hat +/- 40 sd (sd from the conditional information).
-    Truncation error is negligible: the weight tails are exponential and the
-    likelihood is log-concave."""
+    """log q for the conditional model, by the trapezoid rule on psi_hat +/- 40 sd
+    (sd from the conditional information); rel_error is the gap between the
+    last two grid levels.  Truncation error is negligible: the weight tails are
+    exponential and the likelihood is log-concave."""
     return _conditional_mixture(stat)[2]
 
 
 def _conditional_region(stat: TwoSampleStat, level: PersistenceLevel) -> tuple:
-    """(interval, log q) of the exact conditional sequence, from one quadrature."""
-    ll, sd, log_qn = _conditional_mixture(stat)
-    return robbins_region(ll, log_qn, level, scale=sd), log_qn
+    """(interval, log q) of the exact conditional sequence, from one mixture.
+    Each endpoint is a Newton root of l - threshold from psi_hat +/- sd
+    sqrt(2 drop); l is concave, so outside the set the steps move monotonically
+    to the root."""
+    ll, sd, log_qn, (b, v) = _conditional_mixture(stat)
+    threshold = level.log_epsilon + log_qn.value
+    drop = ll.mle_loglik - threshold
+    if drop <= 0.0:     # raises ThresholdAboveMaxError beyond rounding slack
+        return concave_level_set(ll, threshold), log_qn
+
+    def gap(psi):
+        log_z, mean, _ = _tilt(b, v, psi)
+        return log_z + threshold, mean
+
+    reach = sd * sqrt(2.0 * drop)
+    return Interval(_newton_root(gap, ll.mle - reach, -math.inf, ll.mle, sd),
+                    _newton_root(gap, ll.mle + reach, ll.mle, math.inf, sd)), log_qn
 
 
 def robbins_conditional_interval(stat: TwoSampleStat, level: PersistenceLevel) -> Interval:

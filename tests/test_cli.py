@@ -76,13 +76,13 @@ class TestIntervalCommand:
 
     def test_conditional_rule_runs_one_quadrature(self, capsys, monkeypatch):
         calls = []
-        quadrature = two_bernoulli.quadrature_log_mixture
+        mixture = two_bernoulli.trapezoid_log_mixture
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return quadrature(*args, **kwargs)
+            return mixture(*args, **kwargs)
 
-        monkeypatch.setattr(two_bernoulli, "quadrature_log_mixture", counted)
+        monkeypatch.setattr(two_bernoulli, "trapezoid_log_mixture", counted)
         rc, out, _ = run(capsys, "interval", "--model", "two-bernoulli", "--rule", "exact",
                          "--n1", "30", "--n2", "70", "--s1", "20", "--s2", "30",
                          "--epsilon", "0.2", "--format", "json")
@@ -92,8 +92,9 @@ class TestIntervalCommand:
         stat, level = two_bernoulli.TwoSampleStat(30, 70, 20, 30), PersistenceLevel(0.2)
         iv = two_bernoulli.robbins_conditional_interval(stat, level)
         assert (obj["lower"], obj["upper"]) == (iv.lower, iv.upper)
-        assert obj["threshold"] == \
-            level.log_epsilon + two_bernoulli.conditional_log_mixture(stat).value
+        log_qn = two_bernoulli.conditional_log_mixture(stat)
+        assert obj["threshold"] == level.log_epsilon + log_qn.value
+        assert obj["mixture_rel_error"] == log_qn.rel_error <= 1e-8
 
     def test_missing_argument_named(self, capsys):
         rc, _, err = run(capsys, "interval", "--model", "bernoulli", "--n", "100",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from robbins.core import BetaWeight, NormalWeight, PersistenceLevel
 from robbins.engine import (BISECT_XTOL, ConcaveLogLikelihood, NoBracketError, NonFiniteIntegrandError,
                             ThresholdAboveMaxError, closed_form_half_width, concave_level_set,
                             laplace_log_mixture, quadrature_log_mixture, robbins_region,
-                            verify_ville_inequality)
+                            trapezoid_log_mixture, verify_ville_inequality)
 
 EPS02 = PersistenceLevel(0.2)
 
@@ -223,6 +224,7 @@ class TestQuadrature:
         exact = normal.exact_log_mixture(stat, 1.5, weight).value
         assert q.value == pytest.approx(exact, rel=1e-8)
         assert q.method == "quadrature"
+        assert 0.0 <= q.rel_error <= 1e-8
 
     def test_matches_exact_beta_binomial(self):
         from robbins.core import Interval
@@ -252,6 +254,41 @@ class TestQuadrature:
         ll = normal.known_var_loglik(normal.NormalSuffStat(10, 0.0), 1.0)
         with pytest.raises(NonFiniteIntegrandError):
             quadrature_log_mixture(ll, lambda t: math.nan)
+        with pytest.raises(NonFiniteIntegrandError):
+            trapezoid_log_mixture(lambda t: np.full(t.shape, math.nan), (-1.0, 1.0), 8)
+
+
+class TestTrapezoid:
+    @pytest.mark.parametrize("sd", [0.03, 1.0, 7.0])
+    def test_gaussian_integral(self, sd):
+        # log of integral exp(5 - x^2 / (2 sd^2)) dx = 5 + log(sd sqrt(2 pi))
+        calls = []
+
+        def g(x):
+            calls.append(x.size)
+            return 5.0 - 0.5 * (x / sd) ** 2
+
+        q = trapezoid_log_mixture(g, (-40.0 * sd, 40.0 * sd), 160)
+        assert q.value == pytest.approx(5.0 + math.log(sd * math.sqrt(2.0 * math.pi)),
+                                        abs=1e-13)
+        assert q.method == "trapezoid" and 0.0 <= q.rel_error <= 1e-8
+        # step sd/2, then only the 160 midpoints: one halving
+        assert calls == [161, 160]
+
+    def test_refines_then_warns(self):
+        # from a first step of 1/4, a bump of sd 0.05 meets the tolerance at the
+        # fourth halving (step 1/64); one of sd 0.005 never does
+        def bump(sd):
+            return lambda x: -0.5 * (x / sd) ** 2
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = trapezoid_log_mixture(bump(0.05), (-2.0, 2.0), 16)
+        assert q.value == pytest.approx(math.log(0.05 * math.sqrt(2.0 * math.pi)), abs=1e-12)
+        assert q.rel_error <= 1e-8
+        with pytest.warns(RuntimeWarning, match="tolerance not met"):
+            q = trapezoid_log_mixture(bump(0.005), (-2.0, 2.0), 16)
+        assert q.rel_error > 1e-8 and math.isfinite(q.value)
 
 
 # ---------------------------------------------------------------------------

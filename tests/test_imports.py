@@ -2,6 +2,9 @@
 module uses each name it imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -41,3 +44,12 @@ def test_detector_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_adaptive_quadrature_unloaded():
+    # scipy.integrate (~26 MB resident, ~0.25 s) is imported only by the
+    # functions that call quad, none of which a default interval rule uses
+    code = ("import sys, robbins, robbins.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

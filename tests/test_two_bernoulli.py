@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize, stats
+from scipy.special import logsumexp
 
+from robbins import two_bernoulli
 from robbins.core import NormalWeight, PersistenceLevel
-from robbins.engine import closed_form_half_width
+from robbins.engine import (EndpointSolveError, MixtureLogDensity, ThresholdAboveMaxError,
+                            closed_form_half_width)
 from robbins.two_bernoulli import (SupportError, TwoSampleStat, UnboundedRegionError,
+                                   _newton_root,
                                    approx_interval_log_odds, conditional_log_mixture,
                                    conditional_loglik, continuity_corrected_estimates,
                                    fnch_log_pmf, fnch_support, log_odds_weight_density,
@@ -214,3 +219,104 @@ class TestApproxInterval:
         swapped = approx_interval_log_odds(stat.swapped(), NormalWeight(-mu0, tau2), level)
         assert swapped.lower == pytest.approx(-iv.upper, abs=1e-10, rel=1e-10)
         assert swapped.upper == pytest.approx(-iv.lower, abs=1e-10, rel=1e-10)
+
+
+def _scipy_oracle(n1, n2, s1, s2, eps):
+    """(log q, lower, upper, MLE, moments) from scipy alone: the central
+    hypergeometric log pmf tilted by psi u and normalised by logsumexp, the
+    weight written out, quad on psi_hat +/- 40 sd at epsrel 1e-12, then brentq."""
+    t = s1 + s2
+    u = np.arange(max(0, t - n2), min(n1, t) + 1)
+    base = stats.hypergeom.logpmf(u, n1 + n2, n1, t)
+
+    def loglik(psi):
+        return base[s1 - u[0]] + psi * s1 - logsumexp(base + psi * u)
+
+    def moments(psi):
+        p = np.exp(base + psi * u - logsumexp(base + psi * u))
+        mean = p @ u
+        return mean, p @ (u - mean) ** 2
+
+    def log_weight(psi):
+        return math.log(psi / (2 * math.pi ** 2 * math.sinh(psi / 2))) if psi \
+            else -2 * math.log(math.pi)
+
+    mle = optimize.brentq(lambda p: moments(p)[0] - s1, -50.0, 50.0, xtol=1e-14)
+    sd = 1.0 / math.sqrt(moments(mle)[1])
+    shift = loglik(mle) + log_weight(mle)
+    mass = sum(integrate.quad(lambda p: math.exp(loglik(p) + log_weight(p) - shift), a, b,
+                              epsabs=0.0, epsrel=1e-12, limit=400)[0]
+               for a, b in ((mle - 40 * sd, mle), (mle, mle + 40 * sd)))
+    log_q = shift + math.log(mass)
+    thr = math.log(eps) + log_q
+    lower = optimize.brentq(lambda p: loglik(p) - thr, mle - 40 * sd, mle, xtol=1e-14, rtol=1e-15)
+    upper = optimize.brentq(lambda p: loglik(p) - thr, mle, mle + 40 * sd, xtol=1e-14, rtol=1e-15)
+    return log_q, lower, upper, mle, moments
+
+
+ORACLE_TABLES = [
+    (30, 70, 20, 30, 0.2),          # the illustration
+    (2919, 2919, 1696, 1819, 0.05),  # largest table of the seed-42 monitor benchmark
+    (12, 40, 5, 9, 0.1),            # n1 != n2
+    (40, 12, 9, 5, 0.1),            # ... and its label swap
+    (20, 15, 1, 4, 0.2),            # s1 one above the lower support edge
+    (1000, 1000, 1, 3, 0.2),        # ... at large n
+    (10, 30, 9, 3, 0.2),            # s1 one below the upper support edge (n1)
+    (100, 50, 99, 20, 0.1),         # ... with an extreme log-odds ratio
+    (50, 50, 1, 1, 0.5),            # small t
+    (3, 3, 1, 2, 0.5),              # tiny samples: the widest grid
+]
+
+
+class TestConditionalOracle:
+    @pytest.mark.parametrize("table", ORACLE_TABLES, ids=lambda t: "-".join(map(str, t[:4])))
+    def test_matches_scipy_oracle(self, table):
+        n1, n2, s1, s2, eps = table
+        log_q, lower, upper, mle, moments = _scipy_oracle(*table)
+        stat = TwoSampleStat(n1, n2, s1, s2)
+        q = conditional_log_mixture(stat)
+        iv = robbins_conditional_interval(stat, PersistenceLevel(eps))
+        assert abs(q.value - log_q) <= 1e-9
+        assert q.method == "trapezoid" and 0.0 <= q.rel_error <= 1e-8
+        assert abs(iv.lower - lower) <= 1e-9 * abs(lower)
+        assert abs(iv.upper - upper) <= 1e-9 * abs(upper)
+        ll = conditional_loglik(stat)
+        mean, var = moments(ll.mle)
+        assert abs(s1 - mean) <= 1e-10 * (1.0 + var)      # the MLE zeroes the score
+        assert ll.mle == pytest.approx(mle, abs=1e-9)
+
+    @pytest.mark.parametrize("table, mib", [((2919, 2919, 1696, 1819), 2),
+                                            ((100_000, 100_000, 50_000, 50_600), 8)])
+    def test_blocked_grid_memory(self, table, mib):
+        # the (points x support) log-sum-exp runs in blocks of at most 2^17
+        # cells, one block alive at a time: 1.1 MiB peak on the largest monitor
+        # table (3 MiB for its 161-point first grid at once), 3.8 MiB at a
+        # support of 1e5 (50 MiB in blocks of 64 points)
+        stat = TwoSampleStat(*table)
+        robbins_conditional_interval(stat, EPS02)
+        tracemalloc.start()
+        try:
+            robbins_conditional_interval(stat, EPS02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2 ** 20
+
+    def test_non_finite_newton_step_raises_named_error(self):
+        # a zero derivative with no finite bracket leaves no step to take
+        with pytest.raises(EndpointSolveError):
+            _newton_root(lambda x: (1.0, 0.0), 0.0, -math.inf, math.inf, 1.0)
+        assert issubclass(EndpointSolveError, ArithmeticError)
+
+    def test_threshold_above_maximum_raises(self, monkeypatch):
+        # log q above the maximised likelihood cannot come from a true mixture
+        stat = ILLUSTRATION
+        real = two_bernoulli.trapezoid_log_mixture
+
+        def inflated(*args):
+            q = real(*args)
+            return MixtureLogDensity(q.value + 10.0, q.method, q.rel_error)
+
+        monkeypatch.setattr(two_bernoulli, "trapezoid_log_mixture", inflated)
+        with pytest.raises(ThresholdAboveMaxError):
+            robbins_conditional_interval(stat, EPS02)
