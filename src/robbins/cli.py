@@ -333,23 +333,23 @@ def cmd_ville_check(args) -> int:
     if not args.k > 1.0:
         raise CliError(f"--k must exceed 1 for a meaningful bound, got {args.k}")
     model = args.model or "normal"
-    if model == "normal":
-        w = args.weight if args.weight is not None else NormalWeight(0.0, 1.0)
-        if not isinstance(w, NormalWeight):
-            raise CliError("--weight: normal model takes a normal weight")
-        theta = args.theta if args.theta is not None else 0.0
-        path = normal.ville_log_ratio_path(theta, args.sigma2, w)
-    elif model == "bernoulli":
-        w = args.weight if args.weight is not None else BetaWeight(1.0, 1.0)
-        if not isinstance(w, BetaWeight):
-            raise CliError("--weight: bernoulli model takes a beta weight")
-        theta = args.theta if args.theta is not None else 0.5
-        if not (0.0 < theta < 1.0):
-            raise CliError(f"--theta must lie in (0, 1) for bernoulli, got {theta}")
-        path = bernoulli.ville_log_ratio_path(theta, w)
-    else:
-        raise CliError(f"--model must be normal or bernoulli, got {model!r}")
     try:
+        if model == "normal":
+            w = args.weight if args.weight is not None else NormalWeight(0.0, 1.0)
+            if not isinstance(w, NormalWeight):
+                raise CliError("--weight: normal model takes a normal weight")
+            theta = args.theta if args.theta is not None else 0.0
+            path = normal.ville_log_ratio_path(theta, args.sigma2, w)
+        elif model == "bernoulli":
+            w = args.weight if args.weight is not None else BetaWeight(1.0, 1.0)
+            if not isinstance(w, BetaWeight):
+                raise CliError("--weight: bernoulli model takes a beta weight")
+            theta = args.theta if args.theta is not None else 0.5
+            if not (0.0 < theta < 1.0):
+                raise CliError(f"--theta must lie in (0, 1) for bernoulli, got {theta}")
+            path = bernoulli.ville_log_ratio_path(theta, w)
+        else:
+            raise CliError(f"--model must be normal or bernoulli, got {model!r}")
         res = engine.verify_ville_inequality(path, k=args.k, n_max=args.nmax,
                                              reps=args.reps, seed=args.seed)
     except ValueError as exc:

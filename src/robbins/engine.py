@@ -326,9 +326,10 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     log_k = math.log(k)
     crossings = 0
     for r in range(reps):
-        path = log_ratio_path(replication_rng(seed, r), n_max)
-        if float(np.max(path)) >= log_k:
-            crossings += 1
+        top = float(np.max(log_ratio_path(replication_rng(seed, r), n_max)))
+        if math.isnan(top):
+            raise ValueError(f"replication {r}: the log-ratio path has NaN values")
+        crossings += top >= log_k
     p = crossings / reps
     se = math.sqrt(p * (1.0 - p) / reps)
     return VilleCheckResult(estimate=p, bound=1.0 / k, std_error=se,

@@ -180,8 +180,9 @@ def approx_interval_unknown_var(stat: NormalSuffStat, weight: NormalWeight,
 def ville_log_ratio_path(theta: float, sigma0_sq: float, weight: NormalWeight):
     """Path builder for engine.verify_ville_inequality: one replication's
     log(q_n / p_n(theta)) for n = 1..n_max under i.i.d. N(theta, sigma0^2)."""
-    if not sigma0_sq > 0:
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    if not (math.isfinite(theta) and 0 < sigma0_sq < math.inf):
+        raise ValueError(f"need a finite theta and a finite positive sigma0_sq, "
+                         f"got theta={theta}, sigma0_sq={sigma0_sq}")
 
     def path(rng: np.random.Generator, n_max: int) -> np.ndarray:
         y = theta + sqrt(sigma0_sq) * rng.standard_normal(n_max)

@@ -31,6 +31,16 @@ solve each distinct (n, s) pair once with bernoulli.binomial_level_set, the
 solver behind the scalar rules too; the pair table is cut into fixed-size slices
 that run through the same chunk map as the replications, so every endpoint is
 the same for any worker count.
+
+Closed-form plans of one kernel call sharing a weight (or having none) form a
+chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
+_flag_scan runs round k on the k-th plan of every chain, a later plan scanning
+only the replications its predecessor left noncovered.  No bit moves: rounding is
+monotone, so each step of d and est +/- d keeps the order of c, and a replication
+covered at one level is covered, and not contradicted, at every wider one.  The
+arcsine rule maps the reduced endpoints to theta, exact as x -> sin(max(x, 0))^2
+never decreases in floating point on [0, pi/2] (a test checks it).  Level-set
+plans are singleton chains: Newton endpoints need not nest bit for bit.
 """
 
 from __future__ import annotations
@@ -237,20 +247,35 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _flag_scan(nplans, m, ncols, tile_ends, truth) -> np.ndarray:
+def _flag_scan(chains, m, ncols, tile_ends, truth, bounds=None) -> np.ndarray:
     """(contradicted, noncovered) counts per plan, shape (nplans, 2), for a chunk of
-    m replications monitored at ncols sample sizes.  tile_ends(j0, j1) yields each
-    plan's (lower, upper) endpoint arrays on the columns [j0, j1) of one fixed
-    TILE_COLS-wide tile; the running max of lower and min of upper endpoints are
-    carried across the tiles and turned into flags once, at the end."""
-    maxlo = np.full((nplans, m), -np.inf)
-    minup = np.full((nplans, m), np.inf)
-    for j0 in range(0, ncols, TILE_COLS):
-        for k, (lower, upper) in enumerate(tile_ends(j0, min(j0 + TILE_COLS, ncols))):
-            np.maximum(maxlo[k], lower.max(axis=1), out=maxlo[k])
-            np.minimum(minup[k], upper.min(axis=1), out=minup[k])
-    return np.stack([np.count_nonzero(maxlo > minup, axis=1),
-                     np.count_nonzero((maxlo > truth) | (minup < truth), axis=1)], axis=1)
+    m replications monitored at ncols sample sizes.  chains lists the plan indices,
+    each chain narrowest first; round k scans the k-th plan of each chain on the rows
+    its predecessor flagged noncovered (all rows in round 0), the others getting no
+    flag.  tile_ends(j0, j1, active) yields the (lower, upper) endpoint arrays on the
+    columns [j0, j1) of one fixed TILE_COLS-wide tile for each (plan, rows) pair of
+    the round; the running max of lower and min of upper endpoints are carried across
+    the tiles, mapped by bounds(maxlo, minup) when given, and flagged at the end."""
+    counts = np.zeros((sum(map(len, chains)), 2), dtype=np.int64)
+    everyone = np.arange(m)
+    rows = [slice(None)] * len(chains)
+    for rnd in range(max(map(len, chains))):
+        live = [i for i, c in enumerate(chains) if rnd < len(c) and everyone[rows[i]].size]
+        active = [(chains[i][rnd], rows[i]) for i in live]
+        maxlo = [np.full(everyone[r].size, -np.inf) for _, r in active]
+        minup = [np.full(lo.size, np.inf) for lo in maxlo]
+        for j0 in range(0, ncols, TILE_COLS):
+            ends = tile_ends(j0, min(j0 + TILE_COLS, ncols), active)
+            for lo, up, (lower, upper) in zip(maxlo, minup, ends):
+                np.maximum(lo, lower.max(axis=1), out=lo)
+                np.minimum(up, upper.min(axis=1), out=up)
+        for i, (k, r), lo, up in zip(live, active, maxlo, minup):
+            if bounds is not None:
+                lo, up = bounds(lo, up)
+            noncov = (lo > truth) | (up < truth)
+            counts[k] = np.count_nonzero(lo > up), np.count_nonzero(noncov)
+            rows[i] = everyone[r][noncov]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -258,34 +283,44 @@ def _flag_scan(nplans, m, ncols, tile_ends, truth) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarray:
-    """Flag counts per plan (see _flag_scan) of est +/- d, est_v(j0, j1) giving the
-    estimates and variances on one tile: d = z sqrt(v) for a fixed-level rule, else the
-    mixture half-width sqrt(v (log(tv/v) + (est - mu0)^2/tv - 2 log eps)), tv =
-    tau0_sq + v, whose eps-free part is built once per tile and run of plans
-    sharing a weight.  bounds(est, d) maps the endpoints to the parameter scale."""
-    def tile_ends(j0, j1):
-        est, v = est_v(j0, j1)
-        for w, run in itertools.groupby(plans, key=lambda plan: plan.weight):
-            if w is not None:
-                tv = w.tau0_sq + v
-                base = np.log(tv / v) + (est - w.mu0) ** 2 / tv
-            for plan in run:
-                if w is None:
-                    d = float(ndtri(0.5 * (1.0 + plan.level))) * np.sqrt(v)
-                else:
-                    d = np.sqrt(v * (base - 2.0 * math.log(plan.level)))
-                yield (est - d, est + d) if bounds is None else bounds(est, d)
+    """Flag counts per plan (see _flag_scan) of est +/- d, est_v(j0, j1, rows) giving
+    the estimates and variances of the rows on one tile: d = c sqrt(v) for a
+    fixed-level rule, c = ndtri((1 + conf)/2), else the mixture half-width
+    sqrt(v (log(tv/v) + (est - mu0)^2/tv + c)), tv = tau0_sq + v, c = -2 log eps.
+    Plans sharing a weight form one chain, ordered by c.  bounds maps the reduced
+    endpoints to the parameter scale."""
+    c = [float(ndtri(0.5 * (1.0 + p.level))) if p.weight is None else -2.0 * math.log(p.level)
+         for p in plans]
+    chains = {}
+    for k in sorted(range(len(plans)), key=c.__getitem__):
+        chains.setdefault(plans[k].weight, []).append(k)
 
-    return _flag_scan(len(plans), m, ncols, tile_ends, truth)
+    def tile_ends(j0, j1, active):
+        last = None
+        for k, rows in active:
+            if rows is not last:        # round 0: one estimate per tile for every chain
+                (est, v), last = est_v(j0, j1, rows), rows
+            w = plans[k].weight
+            if w is None:
+                d = c[k] * np.sqrt(v)
+                yield est - d, est + d
+                continue
+            tv = w.tau0_sq + v
+            d = np.square(est - w.mu0)      # then in place: the same operations, the same bits
+            d /= tv
+            d += np.log(tv / v)
+            d += c[k]
+            d *= v
+            np.sqrt(d, out=d)
+            yield est - d, np.add(d, est, out=d)
+
+    return _flag_scan(list(chains.values()), m, ncols, tile_ends, truth, bounds)
 
 
-def _sin2_bounds(omega, d):
-    """Arcsine scale back to theta = sin^2(omega), clipped to [0, pi/2]; built in
-    place on the tile's endpoint arrays."""
-    lower, upper = omega - d, omega + d
-    np.square(np.sin(np.maximum(lower, 0.0, out=lower), out=lower), out=lower)
-    np.square(np.sin(np.minimum(upper, 0.5 * math.pi, out=upper), out=upper), out=upper)
-    return lower, upper
+def _sin2_bounds(maxlo, minup):
+    """theta = sin^2(omega) of the reduced endpoints, omega clipped to [0, pi/2]."""
+    return (np.square(np.sin(np.maximum(maxlo, 0.0))),
+            np.square(np.sin(np.minimum(minup, 0.5 * math.pi))))
 
 
 def _normal_counts(plans, threads):
@@ -303,9 +338,10 @@ def _normal_counts(plans, threads):
         for i in range(m):
             total[i] = theta + sigma0 * replication_rng(seed, r0 + i).standard_normal(n_max)
         np.cumsum(total, axis=1, out=total)
-        total = total[:, n_min - 1:]
-        return _closed_form_counts(plans, m, ns.size, lambda j0, j1: (
-            total[:, j0:j1] / ns[j0:j1], v[j0:j1]), theta)
+        est = total[:, n_min - 1:]
+        est /= ns
+        return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
+            est[rows, j0:j1], v[j0:j1]), theta)
 
     return _tally(_map_chunks(worker, p.reps, threads))
 
@@ -326,16 +362,17 @@ def _two_bernoulli_counts(plans, threads):
             u = replication_rng(seed, r0 + i).random((2, n_max))
             s1[i] = np.cumsum(u[0] < theta1)[n_min - 1:]
             s2[i] = np.cumsum(u[1] < theta2)[n_min - 1:]
-
-        def est_v(j0, j1):
-            t1, t2, n = s1[:, j0:j1], s2[:, j0:j1], ns[j0:j1]
+        for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
+            cols = slice(j0, j0 + TILE_COLS)
+            t1, t2, n = s1[:, cols], s2[:, cols], ns[cols]
             a = t1 + 0.5
             b = (n - t1) + 0.5
             c = t2 + 0.5
             d4 = (n - t2) + 0.5
-            return np.log((a * d4) / (b * c)), 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
-
-        return _closed_form_counts(plans, m, ns.size, est_v, psi_true)
+            t1[...] = np.log((a * d4) / (b * c))
+            t2[...] = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
+        return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
+            s1[rows, j0:j1], s2[rows, j0:j1]), psi_true)
 
     return _tally(_map_chunks(worker, p.reps, threads))
 
@@ -365,8 +402,8 @@ def _bernoulli_counts(plans, threads):
             sc[i - r0] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)[n_min - 1:]
         if not arc_plans:
             return np.zeros((0, 2), dtype=np.int64)
-        return _closed_form_counts(arc_plans, r1 - r0, ns.size, lambda j0, j1: (
-            np.arcsin(np.sqrt(sc[:, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
+        return _closed_form_counts(arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
+            np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
             theta, _sin2_bounds)
 
     counts = np.zeros((len(plans), 2), dtype=np.int64)
@@ -401,11 +438,12 @@ def _bernoulli_counts(plans, threads):
         _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
 
         def scan_worker(r0, r1):
-            def tile_ends(j0, j1):
+            def tile_ends(j0, j1, active):
                 idx = offset[j0:j1] + (S[r0:r1, j0:j1] - smin[j0:j1])
-                return ((lower[k][idx], upper[k][idx]) for k in range(len(pair_plans)))
+                return ((lower[k][idx], upper[k][idx]) for k, _ in active)
 
-            return _flag_scan(len(pair_plans), r1 - r0, ns.size, tile_ends, theta)
+            return _flag_scan([[k] for k in range(len(pair_plans))], r1 - r0, ns.size,
+                              tile_ends, theta)
 
         counts[is_pair] = _tally(_map_chunks(scan_worker, p.reps, threads))
     return counts

@@ -167,6 +167,16 @@ class TestVilleCheckCommand:
         assert "PASS" not in out
         assert "reps >= 1 and n_max >= 1" in err
 
+    @pytest.mark.parametrize("bad", [["--theta", "nan"], ["--theta", "inf"],
+                                     ["--sigma2", "inf"], ["--sigma2", "0"]])
+    def test_non_finite_or_zero_input_is_a_usage_error(self, capsys, bad):
+        # exit 2 is a usage error, exit 1 the FAIL verdict; NaN paths once read PASS
+        rc, out, err = run(capsys, "ville-check", "--model", "normal", "--k", "10",
+                           "--reps", "20", "--nmax", "50", *bad)
+        assert rc == 2
+        assert out == ""
+        assert "finite theta and a finite positive sigma0_sq" in err
+
     def test_normal_pass(self, capsys):
         rc, out, _ = run(capsys, "ville-check", "--k", "5", "--reps", "300",
                          "--nmax", "200")

@@ -322,3 +322,23 @@ class TestVille:
         path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
         with pytest.raises(ValueError, match="reps >= 1 and n_max >= 1"):
             verify_ville_inequality(path, k=10.0, n_max=n_max, reps=reps, seed=1)
+
+    @pytest.mark.parametrize("theta, sigma0_sq", [(math.nan, 1.0), (math.inf, 1.0),
+                                                  (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)])
+    def test_normal_path_rejects_non_finite_input(self, theta, sigma0_sq):
+        # a NaN path used to count as "never crossed", so the check passed
+        with pytest.raises(ValueError, match="finite theta and a finite positive sigma0_sq"):
+            normal.ville_log_ratio_path(theta, sigma0_sq, NormalWeight(0.0, 1.0))
+
+    def test_nan_path_raises_naming_the_replication(self):
+        calls = []
+
+        def path(rng, n_max):
+            calls.append(rng)
+            out = rng.standard_normal(n_max)
+            if len(calls) == 3:
+                out[-1] = math.nan
+            return out
+
+        with pytest.raises(ValueError, match="replication 2: the log-ratio path has NaN"):
+            verify_ville_inequality(path, k=10.0, n_max=20, reps=5, seed=1)

@@ -364,24 +364,111 @@ class TestBoundedMemory:
     traced peak is set by one chunk of data, not by reps or by (chunk x n)
     endpoint arrays."""
 
-    @pytest.mark.parametrize("rule, kw", [
-        (Rule.ROBBINS_APPROX, dict(model=Model.BERNOULLI, truth=0.3)),
-        (Rule.ROBBINS_EXACT, dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0)),
-    ], ids=["bernoulli-arcsine", "normal-exact"])
-    def test_peak_flat_in_reps_and_bounded(self, rule, kw):
+    @pytest.mark.parametrize("rule, levels, n_max, kw", [
+        (Rule.ROBBINS_APPROX, (0.1,), 20_000, dict(model=Model.BERNOULLI, truth=0.3)),
+        (Rule.ROBBINS_EXACT, (0.1,), 20_000, dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0)),
+        (Rule.ROBBINS_APPROX, (0.1,), 10_000,
+         dict(model=Model.TWO_BERNOULLI, truth=(0.2, 0.25))),
+        (Rule.ROBBINS_EXACT, (0.5, 0.2, 0.1, 0.05), 20_000,
+         dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0)),
+    ], ids=["bernoulli-arcsine", "normal-exact", "two-bernoulli-approx", "normal-exact-chain"])
+    def test_peak_flat_in_reps_and_bounded(self, rule, levels, n_max, kw):
         peaks = []
         for reps in (256, 1024):
-            plan = SequencePlan(rule=rule, level=0.1, weight=NormalWeight(0.5, 1.0),
-                                n_min=10, n_max=20_000, reps=reps, seed=3, **kw)
+            plans = [SequencePlan(rule=rule, level=level, weight=NormalWeight(0.5, 1.0),
+                                  n_min=10, n_max=n_max, reps=reps, seed=3, **kw)
+                     for level in levels]
             tracemalloc.start()
             try:
-                run_plan(plan, threads=1)
+                simulation._run_plans("-", plans, threads=1)
                 peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
-        # one chunk of 256 x 20000 float64 running sums is 39 MiB
+        # one chunk of 256 x 20000 float64 running sums is 39 MiB, as are the
+        # two-bernoulli estimate and variance of 256 x 10000 each
         assert max(peaks) < 64, peaks
+
+
+class TestChainPruning:
+    """Plans of one kernel call that share a weight form a chain, ordered from the
+    narrowest interval to the widest; a later plan scans only the replications
+    its predecessor left noncovered.  That must move no bit."""
+
+    CASES = {
+        "normal-exact": (dict(model=Model.NORMAL_KNOWN_VAR, truth=0.3, n_min=5, n_max=400),
+                         Rule.ROBBINS_EXACT, (NormalWeight(0.0, 1.0), NormalWeight(2.0, 0.1))),
+        "normal-z": (dict(model=Model.NORMAL_KNOWN_VAR, truth=0.3, n_min=5, n_max=400),
+                     Rule.CLASSICAL_Z, (None,)),
+        "two-bernoulli-approx": (dict(model=Model.TWO_BERNOULLI, truth=(0.2, 0.4), n_min=20,
+                                      n_max=400), Rule.ROBBINS_APPROX,
+                                 (NormalWeight(0.0, 5.0), NormalWeight(-2.0, 0.1))),
+        "bernoulli-arcsine": (dict(model=Model.BERNOULLI, truth=0.3, n_min=5, n_max=400),
+                              Rule.ROBBINS_APPROX,
+                              (NormalWeight(0.8, 0.4), NormalWeight(1.4, 0.02))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("width", [1, simulation.TILE_COLS])
+    def test_shuffled_chains_match_plans_run_alone(self, monkeypatch, case, width):
+        monkeypatch.setattr(simulation, "TILE_COLS", width)
+        kw, rule, weights = self.CASES[case]
+        levels = ((0.95, 0.9, 0.995, 0.95, 0.99) if weights == (None,)
+                  else (0.1, 0.5, 0.05, 0.2, 0.1))
+        # the two weights interleave; the levels come out of order and one repeats
+        plans = [SequencePlan(rule=rule, level=level, weight=w, reps=150, seed=21, **kw)
+                 for level in levels for w in weights]
+        rows = simulation._run_plans("-", plans, threads=1)
+        alone = [run_plan(plan) for plan in plans]
+        assert rows == alone
+        # the cells must tell pruned from unpruned scans apart: noncovered and
+        # covered replications at every level, contradictions below noncoverages
+        assert all(0 < r.noncoverages_pct < 100 for r in rows), rows
+        assert any(r.contradictions_pct < r.noncoverages_pct for r in rows)
+        assert len({(r.contradictions_pct, r.noncoverages_pct) for r in rows}) > 2
+
+    @pytest.mark.parametrize("theta, weight", [
+        (0.02, NormalWeight(1.5, 0.05)), (0.98, NormalWeight(0.0, 0.05)),
+        (0.02, NormalWeight(0.1, 1.0)), (0.98, NormalWeight(1.5, 1.0))])
+    def test_arcsine_counts_match_per_element_oracle(self, theta, weight):
+        n_min, n_max, reps, seed, levels = 2, 300, 120, 17, (0.5, 0.2, 0.05)
+        plans = [SequencePlan(model=Model.BERNOULLI, truth=theta, rule=Rule.ROBBINS_APPROX,
+                              level=eps, weight=weight, n_min=n_min, n_max=n_max, reps=reps,
+                              seed=seed) for eps in levels]
+        rows = simulation._run_plans("-", plans, threads=1)
+        ns = np.arange(n_min, n_max + 1)
+        v = 0.25 / ns
+        tv = weight.tau0_sq + v
+        clipped = [0, 0]
+        for eps, row in zip(levels, rows):
+            contra = noncov = 0
+            for r in range(reps):
+                s = np.cumsum(replication_rng(seed, r).random(n_max) < theta)[n_min - 1:]
+                omega = np.arcsin(np.sqrt(s / ns))
+                d = np.sqrt(v * (np.log(tv / v) + (omega - weight.mu0) ** 2 / tv
+                                 - 2.0 * math.log(eps)))
+                clipped[0] += np.count_nonzero(omega - d < 0.0)
+                clipped[1] += np.count_nonzero(omega + d > 0.5 * math.pi)
+                lower = np.sin(np.maximum(omega - d, 0.0)) ** 2
+                upper = np.sin(np.minimum(omega + d, 0.5 * math.pi)) ** 2
+                lo, up = lower.max(), upper.min()
+                contra += lo > up
+                noncov += lo > theta or up < theta
+            assert (row.contradictions_pct, row.noncoverages_pct) == \
+                (100.0 * contra / reps, 100.0 * noncov / reps), (theta, weight, eps)
+        assert clipped[0 if theta < 0.5 else 1] > 0, clipped
+
+    def test_sin_squared_never_decreases_on_quarter_turn(self):
+        # the arcsine kernel maps the reduced endpoints, not each one, which is
+        # exact only if x -> sin(max(x, 0))^2 never decreases on [0, pi/2]
+        rng = np.random.default_rng(0)
+        top = 0.5 * math.pi
+        below_top = (np.array(top).view(np.int64) - np.arange(1, 200_001)).view(np.float64)
+        x = np.concatenate([rng.uniform(0.0, top, 1_000_000), below_top,
+                            top - rng.uniform(0.0, 1e-6, 1_000_000), [0.0, -0.0]])
+        x = x[x < top]
+        nxt = np.nextafter(x, np.inf)
+        assert np.all(np.sin(np.maximum(nxt, 0.0)) ** 2 >= np.sin(np.maximum(x, 0.0)) ** 2)
 
 
 class TestCountStorage:
