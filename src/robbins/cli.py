@@ -264,10 +264,16 @@ def cmd_simulate(args) -> int:
                             reps=args.reps, seed=args.seed, sigma0_sq=args.sigma2)
     except ValueError as exc:
         raise CliError(str(exc))
-    row = run_plan(plan, threads=args.threads)
+    row = run_plan(plan, threads=_threads(args))
     report = simulation.TableReport(table="-", rows=(row,))
     _emit_report(report, args)
     return 0
+
+
+def _threads(args) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _emit_report(report, args) -> None:
@@ -304,7 +310,7 @@ def cmd_reproduce_table(args) -> int:
         table_id = "T" + table_id
     if table_id not in simulation.TABLE_IDS:
         raise CliError(f"--id must be 1..5, got {args.id!r}")
-    report = reproduce_table(table_id, reps=args.reps, seed=args.seed, threads=args.threads)
+    report = reproduce_table(table_id, reps=args.reps, seed=args.seed, threads=_threads(args))
     _emit_report(report, args)
     comps = compare_to_reference(report)
     worst = max(comps, key=lambda c: abs(c.delta))

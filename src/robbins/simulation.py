@@ -27,10 +27,10 @@ takes the plans themselves, so a cell equals its plan run alone by run_plan.
 The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
 log-odds) share one vectorised half-width, pinned to the scalar library rules by
 the test suite.  The level-set rules (exact Bernoulli mixture, likelihood ratio)
-solve each distinct (n, s) pair once with bernoulli.binomial_level_set, the
-solver behind the scalar rules too; the pair table is cut into fixed-size slices
-that run through the same chunk map as the replications, so every endpoint is
-the same for any worker count.
+cover theta at n for one band of counts, bisected once per call on the endpoints
+of bernoulli.binomial_level_set, the solver behind the scalar rules too; a chunk
+is flagged by integer compares against the bands, and endpoints are solved only
+where a contradiction depends on them (_level_set_flags).
 
 Closed-form plans of one kernel call sharing a weight (or having none) form a
 chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
@@ -39,8 +39,7 @@ only the replications its predecessor left noncovered.  No bit moves: rounding i
 monotone, so each step of d and est +/- d keeps the order of c, and a replication
 covered at one level is covered, and not contradicted, at every wider one.  The
 arcsine rule maps the reduced endpoints to theta, exact as x -> sin(max(x, 0))^2
-never decreases in floating point on [0, pi/2] (a test checks it).  Level-set
-plans are singleton chains: Newton endpoints need not nest bit for bit.
+never decreases in floating point on [0, pi/2] (a test checks it).
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln, chdtri, ndtri, xlogy
+from scipy.special import betaln, chdtri, gammaln, ndtri, xlogy
 
 from .bernoulli import EndpointSolveError, binomial_level_set
 from .core import BetaWeight, NormalWeight, WeightSpec
@@ -79,7 +78,6 @@ __all__ = [
 ]
 
 CHUNK_REPS = 256          # fixed chunk size; never depends on the worker count
-SOLVE_PAIRS = 16384       # fixed slice of the (n, s) pair table; likewise
 TILE_COLS = 256           # fixed column tile of the flag scan; likewise
 
 CSV_COLUMNS = ["table", "row_label", "level", "contradictions_pct", "noncoverages_pct",
@@ -228,11 +226,11 @@ def _fmt(x: float) -> str:
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _map_chunks(worker, total: int, threads: int, chunk: int = CHUNK_REPS) -> list:
-    """Apply worker(i0, i1) to the fixed slices [i0, i1) of range(total), chunk
+def _map_chunks(worker, total: int, threads: int) -> list:
+    """Apply worker(i0, i1) to the fixed slices [i0, i1) of range(total), CHUNK_REPS
     items each; results returned in slice order (identical for any thread
     count)."""
-    ranges = [(i0, min(i0 + chunk, total)) for i0 in range(0, total, chunk)]
+    ranges = [(i0, min(i0 + CHUNK_REPS, total)) for i0 in range(0, total, CHUNK_REPS)]
     if threads <= 1 or len(ranges) == 1:
         return [worker(i0, i1) for i0, i1 in ranges]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -381,72 +379,157 @@ def _two_bernoulli_counts(plans, threads):
 # level-set kernel (exact Bernoulli mixture, likelihood ratio)
 # ---------------------------------------------------------------------------
 
+# The log-ratio test settles a look only where (stat - c)(1 - v) lies outside +/-
+# _LOG_RATIO_MARGIN (1 + n log n): stat sums terms of order n log n, rounding within
+# ~1e-15 of that, and a float step of v moves it by ~n 1e-16 / (1 - v).  At each
+# Newton endpoint, and one float beyond it, it is within a hundredth of the margin
+# on its own side (a test checks); inside the margin, the endpoint decides.
+_LOG_RATIO_MARGIN = 1e-12
+
+
+def _drop(plan, s, n):
+    """binomial_level_set drop of a level-set plan at counts s of n."""
+    w = plan.weight
+    if w is None:       # likelihood ratio
+        return 0.5 * float(chdtri(1, 1.0 - plan.level))
+    that = s / n
+    lmax = xlogy(s, that) + xlogy(n - s, 1.0 - that)
+    log_q = betaln(s + w.alpha, n - s + w.beta) - float(betaln(w.alpha, w.beta))
+    return lmax - (math.log(plan.level) + log_q)
+
+
+def _bands(plans, ns, theta):
+    """(a, b) per plan and n: theta is covered at exactly the counts a <= s <= b, the
+    crossing statistic being convex in s (empty band: a = b + 1).  a and b + 1 are
+    the least s with upper >= theta and with lower > theta, bisected for all plans,
+    n and both edges at once, after probes at the normal edge n theta -/+
+    z sqrt(n theta (1 - theta)) + z^2 (1 - 2 theta)/6, z^2 = 2 drop."""
+    side, k, j = (x.ravel() for x in np.indices((2, len(plans), ns.size)))
+    n = ns[j].astype(float)
+
+    def drop(s, e):         # the drops of elements e at counts s
+        out = np.empty(e.size)
+        for i, plan in enumerate(plans):
+            out[k[e] == i] = _drop(plan, s[k[e] == i], n[e][k[e] == i])
+        return out
+
+    edge = theta * n
+    for _ in range(2):      # the exact rule's drop varies with s
+        z2 = 2.0 * drop(np.clip(edge, 0.0, n), np.arange(n.size))
+        edge = theta * n + (2 * side - 1) * np.sqrt(z2 * n * theta * (1 - theta)) \
+            + z2 * (1 - 2 * theta) / 6
+    lo, hi = side - 1, ns[j] + side         # the edge lies in (lo, hi]
+    probes = [np.ceil(edge).astype(np.int64) - 1, np.ceil(edge).astype(np.int64)]
+    while (e := np.flatnonzero(hi - lo > 1)).size:
+        mid = (lo[e] + hi[e]) // 2
+        if probes:
+            mid = np.clip(probes.pop(0)[e], lo[e] + 1, hi[e] - 1)
+        lower, upper = binomial_level_set(mid, n[e], drop(mid.astype(float), e))
+        past = np.where(side[e] == 0, upper >= theta, lower > theta)
+        hi[e[past]], lo[e[~past]] = mid[past], mid[~past]
+    a, b = hi.reshape(2, len(plans), ns.size)
+    return a, b - 1
+
+
+def _log_ratio_tables(plan, ns):
+    """(A, B, C + c, margin) per run: v is covered at (n, s) = (ns[j], s) iff
+    stat(v; s) = A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with
+    A, B, C = gammaln(k + alpha), gammaln(k + beta), gammaln(n + alpha + beta) +
+    log B(alpha, beta), c = -log eps (exact rule); A = B = xlogy(k, k), C = n log n,
+    c = chi2_{1,conf}/2 (likelihood ratio)."""
+    w, k = plan.weight, np.arange(ns[-1] + 1.0)
+    xlogx = xlogy(k, k)
+    A, B, C = (xlogx, xlogx, xlogx[ns]) if w is None else (
+        gammaln(k + w.alpha), gammaln(k + w.beta),
+        gammaln(ns + (w.alpha + w.beta)) + float(betaln(w.alpha, w.beta)))
+    c = _drop(plan, None, None) if w is None else -math.log(plan.level)
+    return A, B, C + c, _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
+
+
+def _level_set_flags(plan, sc, ns, a, b, tables):
+    """(contradicted, noncovered) counts of a level-set plan on a chunk of counts sc
+    (replications x ns) with band [a, b] and _log_ratio_tables.  A row leaving the
+    band is noncovered, and contradicted if it leaves on both sides, or below only
+    and some lower endpoint exceeds U*, the least upper endpoint at its violating
+    looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts as the
+    endpoint at the look of largest relative deficit and is lowered where stat(U*)
+    does not clear c."""
+    A, B, C, margin = tables
+
+    def excess(r, s, j):        # (stat(v[r]; s) - c)(1 - v[r]) at counts s of ns[j]
+        ex = A.take(s)
+        ex += B.take(ns[j] - s)
+        ex -= s * logit_v[r]
+        ex -= C[j] + ns[j] * log1m_v[r]
+        ex *= 1.0 - v[r]
+        return ex
+
+    low, high = sc < a, sc > b
+    below, above = low.any(axis=1), high.any(axis=1)
+    rows = np.flatnonzero(below != above)
+    side = below[rows]
+    r, j = np.nonzero(low[rows] | high[rows])     # a one-sided row violates on one side
+    s, n = sc[rows[r], j].astype(np.intp), ns[j]
+    dev = np.where(side[r], a[j] - s, s - b[j]) / n
+    first = np.searchsorted(r, range(rows.size))      # each row's first violating look
+    top = np.flatnonzero(dev == np.maximum.reduceat(dev, first)[r])
+    pick = top[np.searchsorted(r[top], range(rows.size))]
+    lower, upper = binomial_level_set(s[pick], n[pick], _drop(plan, s[pick], n[pick]))
+    v = np.where(side, upper, lower)
+    log1m_v = np.log1p(-v)
+    logit_v = np.log(v) - log1m_v
+    cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
+    lower, upper = binomial_level_set(s[cand], n[cand], _drop(plan, s[cand], n[cand]))
+    up = side[r[cand]]
+    np.minimum.at(v, r[cand][up], upper[up])
+    np.maximum.at(v, r[cand][~up], lower[~up])
+    log1m_v = np.log1p(-v)
+    logit_v = np.log(v) - log1m_v
+    hit, near = np.zeros(rows.size, dtype=bool), []
+    for j0 in range(0, ns.size, TILE_COLS):
+        live, cols = np.flatnonzero(~hit), slice(j0, j0 + TILE_COLS)
+        s = sc[rows[live], cols].astype(np.intp)
+        ex = excess(live[:, None], s, cols)
+        rr, jj = np.nonzero(ex >= -margin[cols])
+        over = ex[rr, jj] > margin[cols][jj]
+        hit[live[rr[over]]] = True
+        near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
+    i, s, j = (np.concatenate(x) for x in zip(*near))
+    lower, upper = binomial_level_set(s, ns[j], _drop(plan, s, ns[j]))
+    hit[i[np.where(side[i], lower > v[i], upper < v[i])]] = True
+    return (np.count_nonzero(below & above) + np.count_nonzero(hit),
+            np.count_nonzero(below | above))
+
+
 def _bernoulli_counts(plans, threads):
-    """Counts per plan for the exact, likelihood-ratio and arcsine rules.
-    Generates each chunk's success counts and flags the arcsine plans from them
-    at once.  With a level-set plan the counts are kept in one reps x n matrix,
-    the endpoints are solved for every (n, s) pair between the smallest and
-    largest count observed at each n, and the replications are scanned."""
+    """Counts per plan for the exact, likelihood-ratio and arcsine rules, in one pass
+    per chunk: generate its success counts, flag the arcsine plans by the
+    closed-form scan and the level-set plans by _level_set_flags."""
     p = plans[0]
     theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
     ns = np.arange(n_min, n_max + 1)
     count_type = np.min_scalar_type(n_max)
-    is_pair = np.array([pl.rule != Rule.ROBBINS_APPROX for pl in plans])
-    pair_plans = [pl for pl, pair in zip(plans, is_pair) if pair]
-    arc_plans = [pl for pl, pair in zip(plans, is_pair) if not pair]
-    S = np.empty((p.reps, ns.size), dtype=count_type) if pair_plans else None
+    arc = np.array([pl.rule == Rule.ROBBINS_APPROX for pl in plans])
+    arc_plans = [pl for pl, is_arc in zip(plans, arc) if is_arc]
+    set_plans = [pl for pl, is_arc in zip(plans, arc) if not is_arc]
+    bands = np.array(_bands(set_plans, ns, theta), dtype=count_type)
+    tables = [_log_ratio_tables(pl, ns) for pl in set_plans]
 
     def gen_worker(r0, r1):
-        sc = np.empty((r1 - r0, ns.size), dtype=count_type) if S is None else S[r0:r1]
+        sc = np.empty((r1 - r0, ns.size), dtype=count_type)
         for i in range(r0, r1):
             sc[i - r0] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)[n_min - 1:]
-        if not arc_plans:
-            return np.zeros((0, 2), dtype=np.int64)
-        return _closed_form_counts(arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
-            np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
-            theta, _sin2_bounds)
+        counts = np.zeros((len(plans), 2), dtype=np.int64)
+        if arc_plans:
+            counts[arc] = _closed_form_counts(
+                arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
+                    np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
+                theta, _sin2_bounds)
+        for k, pl, a, b, tab in zip(np.flatnonzero(~arc), set_plans, *bands, tables):
+            counts[k] = _level_set_flags(pl, sc, ns, a, b, tab)
+        return counts
 
-    counts = np.zeros((len(plans), 2), dtype=np.int64)
-    counts[~is_pair] = _tally(_map_chunks(gen_worker, p.reps, threads))
-    if pair_plans:
-        smin = S.min(axis=0).astype(np.int64)
-        width = S.max(axis=0) - smin + 1
-        offset = np.concatenate(([0], np.cumsum(width)[:-1]))
-        npairs = int(width.sum())
-        lower = np.empty((len(pair_plans), npairs))
-        upper = np.empty_like(lower)
-
-        def solve_worker(p0, p1):
-            pair = np.arange(p0, p1)
-            col = np.searchsorted(offset, pair, side="right") - 1
-            n = ns[col].astype(float)
-            s = (pair - offset[col] + smin[col]).astype(float)
-            that = s / n
-            lmax = xlogy(s, that) + xlogy(n - s, 1.0 - that)
-            log_q = {}
-            for k, plan in enumerate(pair_plans):
-                w = plan.weight
-                if w is None:       # likelihood ratio
-                    drop = 0.5 * float(chdtri(1, 1.0 - plan.level))
-                else:
-                    if w not in log_q:
-                        log_q[w] = (betaln(s + w.alpha, n - s + w.beta)
-                                    - float(betaln(w.alpha, w.beta)))
-                    drop = lmax - (math.log(plan.level) + log_q[w])
-                lower[k, p0:p1], upper[k, p0:p1] = binomial_level_set(s, n, drop)
-
-        _map_chunks(solve_worker, npairs, threads, SOLVE_PAIRS)
-
-        def scan_worker(r0, r1):
-            def tile_ends(j0, j1, active):
-                idx = offset[j0:j1] + (S[r0:r1, j0:j1] - smin[j0:j1])
-                return ((lower[k][idx], upper[k][idx]) for k, _ in active)
-
-            return _flag_scan([[k] for k in range(len(pair_plans))], r1 - r0, ns.size,
-                              tile_ends, theta)
-
-        counts[is_pair] = _tally(_map_chunks(scan_worker, p.reps, threads))
-    return counts
+    return _tally(_map_chunks(gen_worker, p.reps, threads))
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +543,8 @@ _KERNELS = {Model.NORMAL_KNOWN_VAR: _normal_counts, Model.BERNOULLI: _bernoulli_
 def _run_plans(table: str, plans, threads: int) -> list:
     """One report row per plan; each run of consecutive plans sharing data streams
     is one kernel call (grouped in order, since a list truth is no dict key)."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     rows = []
     for _, group in itertools.groupby(plans, key=lambda p: (
             p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq)):

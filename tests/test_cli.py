@@ -223,6 +223,14 @@ class TestSimulateCommand:
         assert rc == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, capsys, threads):
+        rc, _, err = run(capsys, "simulate", "--model", "bernoulli", "--theta", "0.5",
+                         "--rule", "lr", "--conf", "0.95", "--nmin", "10", "--nmax", "30",
+                         "--reps", "5", "--threads", threads)
+        assert rc == 2
+        assert "--threads" in err
+
 
 class TestReproduceTableCommand:
     def test_small_run_keeps_invariant(self, capsys, tmp_path):
@@ -247,6 +255,12 @@ class TestReproduceTableCommand:
         rc, _, err = run(capsys, "reproduce-table", "--id", "9")
         assert rc == 2
         assert "--id" in err
+
+    def test_zero_threads_rejected(self, capsys):
+        rc, _, err = run(capsys, "reproduce-table", "--id", "1", "--reps", "5",
+                         "--threads", "0")
+        assert rc == 2
+        assert "--threads" in err
 
     def test_json_output(self, capsys, tmp_path):
         out_file = tmp_path / "t1.json"

@@ -6,11 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import chdtri
 
 from robbins import bernoulli, normal, reference, simulation, two_bernoulli
-from robbins.core import BetaWeight, NormalWeight, PersistenceLevel, SequenceMonitor
-from robbins.simulation import (CSV_COLUMNS, CellComparison, EndpointSolveError, Model,
-                                ReportRow, Rule, SOLVE_PAIRS, SequencePlan, TableReport,
+from robbins.core import BetaWeight, Interval, NormalWeight, PersistenceLevel, SequenceMonitor
+from robbins.simulation import (CHUNK_REPS, CSV_COLUMNS, CellComparison, EndpointSolveError,
+                                Model, ReportRow, Rule, SequencePlan, TableReport,
                                 compare_to_reference, replication_rng, reproduce_table,
                                 run_plan)
 
@@ -359,10 +360,124 @@ class TestLevelSetKernelEndpoints:
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def _log_ratio_excess(plan, v, s, n):
+    """(stat(v; s) - c)(1 - v), the scaled excess of the crossing statistic over
+    its threshold that the level-set kernel reads from lookup tables, written out
+    in the kernel's operation order."""
+    from scipy.special import betaln, gammaln, xlogy
+    w = plan.weight
+    if w is None:
+        A = B = lambda k: xlogy(k, k)
+        C = xlogy(n, n) + 0.5 * float(chdtri(1, 1 - plan.level))
+    else:
+        A, B = (lambda k: gammaln(k + w.alpha)), (lambda k: gammaln(k + w.beta))
+        C = (gammaln(n + (w.alpha + w.beta)) + float(betaln(w.alpha, w.beta))
+             - math.log(plan.level))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log1m_v = np.log1p(-v)
+        return (A(s) + B(n - s) - s * (np.log(v) - log1m_v) - (C + n * log1m_v)) * (1 - v)
+
+
+class TestLevelSetBands:
+    """The level-set kernel flags noncoverage by integer compares against one
+    band of counts per n, and decides contradictions by the log-ratio outside a
+    margin; both must agree with the Newton endpoints exactly."""
+
+    @staticmethod
+    def _groups(table):
+        """(truth, plans) per truth of a bundled table, as one kernel call gets them."""
+        plans = simulation._TABLES[table]
+        return [(th, [p for p in plans if p.truth == th])
+                for th in sorted({p.truth for p in plans})]
+
+    @staticmethod
+    def _drop(plan, s, n):
+        from scipy.special import betaln, xlogy
+        if plan.weight is None:
+            return 0.5 * float(chdtri(1, 1 - plan.level))
+        a, b = plan.weight.alpha, plan.weight.beta
+        lmax = xlogy(s, s / n) + xlogy(n - s, 1 - s / n)
+        return lmax - (math.log(plan.level) + (betaln(s + a, n - s + b) - float(betaln(a, b))))
+
+    @pytest.mark.parametrize("table", ["T3", "T4"])
+    def test_band_compare_equals_endpoint_coverage_at_every_count(self, table):
+        ns = np.concatenate([np.arange(1, 121), np.arange(3981, 4001)])
+        n, s = (np.concatenate(x).astype(float)
+                for x in zip(*[(np.full(m + 1, m), np.arange(m + 1)) for m in ns]))
+        j = np.repeat(np.arange(ns.size), ns + 1)
+        for theta, plans in self._groups(table):
+            a, b = simulation._bands(plans, ns, theta)
+            for k, plan in enumerate(plans):
+                lower, upper = bernoulli.binomial_level_set(s, n, self._drop(plan, s, n))
+                outside = (s < a[k][j]) | (s > b[k][j])
+                assert np.array_equal(outside, ~((lower <= theta) & (theta <= upper))), \
+                    (theta, plan.label, plan.level)
+                assert np.all(a[k] <= b[k])
+
+    def test_empty_band_flags_every_replication_noncovered(self):
+        # conf 0.01: a drop of 8e-5, so no count of n <= 3 draws covers 0.55
+        theta, n_max, reps, seed = 0.55, 3, 40, 2
+        plan = SequencePlan(model=Model.BERNOULLI, truth=theta, rule=Rule.LIKELIHOOD_RATIO,
+                            level=0.01, n_min=1, n_max=n_max, reps=reps, seed=seed)
+        a, b = simulation._bands([plan], np.arange(1, n_max + 1), theta)
+        assert np.all(a[0] == b[0] + 1)
+
+        def replay(rng, mon):
+            s = np.cumsum(rng.random(n_max) < theta)
+            for n in range(1, n_max + 1):
+                mon.update(bernoulli.lr_interval(bernoulli.BernoulliSuffStat(n, int(s[n - 1])),
+                                                 0.01))
+
+        slow = _slow_flags(replay, theta, reps, seed)
+        row = run_plan(plan)
+        assert slow[1] == reps and 0 < slow[0] < reps
+        assert (row.contradictions_pct, row.noncoverages_pct) == \
+            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
+
+    def test_log_ratio_at_newton_endpoints_well_inside_margin(self):
+        # each endpoint, and the next float beyond it, must sit on its own side of
+        # the threshold up to a hundredth of the margin, or the log-ratio test could
+        # disagree with a comparison against the endpoint
+        pairs = [(n, s) for n in list(range(1, 150)) + list(range(150, 4001, 37))
+                 + [20_000, 10 ** 5, 10 ** 6] for s in range(0, n + 1, 1 + n // 400)]
+        n, s = (np.array(x, dtype=float) for x in zip(*pairs))
+        margin = simulation._LOG_RATIO_MARGIN * (1 + n * np.log(n))
+        plans = [p for table in ("T3", "T4") for p in simulation._TABLES[table]
+                 if p.truth == 0.5]        # the endpoints do not depend on the truth
+        for plan in plans:
+            lower, upper = bernoulli.binomial_level_set(s, n, self._drop(plan, s, n))
+            for end, beyond, valid in ((lower, np.nextafter(lower, 0), s > 0),
+                                       (upper, np.nextafter(upper, 1), (s < n) & (upper < 1))):
+                inside = _log_ratio_excess(plan, end, s, n)[valid]
+                outside = _log_ratio_excess(plan, beyond, s, n)[valid]
+                assert np.all(inside <= 1e-2 * margin[valid]), (plan.label, plan.level)
+                assert np.all(outside >= -1e-2 * margin[valid]), (plan.label, plan.level)
+
+    @pytest.mark.parametrize("rule", [Rule.LIKELIHOOD_RATIO, Rule.ROBBINS_EXACT])
+    def test_large_n_max_cell_matches_monitor_replay(self, rule):
+        theta, n_min, n_max, reps, seed = 0.3, 10, 20_000, 16, 3
+        plan = SequencePlan(model=Model.BERNOULLI, truth=theta, rule=rule,
+                            level=0.95 if rule == Rule.LIKELIHOOD_RATIO else 0.9,
+                            weight=None if rule == Rule.LIKELIHOOD_RATIO else BetaWeight(1, 1),
+                            n_min=n_min, n_max=n_max, reps=reps, seed=seed)
+        n = np.arange(n_min, n_max + 1.0)
+
+        def replay(rng, mon):
+            s = np.cumsum(rng.random(n_max) < theta)[n_min - 1:].astype(float)
+            for lo, up in zip(*bernoulli.binomial_level_set(s, n, self._drop(plan, s, n))):
+                mon.update(Interval(float(lo), float(up)))
+
+        slow = _slow_flags(replay, theta, reps, seed)
+        assert 0 < slow[0] < slow[1] < reps     # both flags tell rows apart
+        row = run_plan(plan)
+        assert (row.contradictions_pct, row.noncoverages_pct) == \
+            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
+
+
 class TestBoundedMemory:
-    """The flag scan keeps a running max/min per replication, so a kernel's
-    traced peak is set by one chunk of data, not by reps or by (chunk x n)
-    endpoint arrays."""
+    """The flag scan keeps a running max/min per replication, and the level-set
+    kernel flags each chunk from its counts, so a kernel's traced peak is set by
+    one chunk of data, not by reps or by (chunk x n) endpoint arrays."""
 
     @pytest.mark.parametrize("rule, levels, n_max, kw", [
         (Rule.ROBBINS_APPROX, (0.1,), 20_000, dict(model=Model.BERNOULLI, truth=0.3)),
@@ -371,12 +486,18 @@ class TestBoundedMemory:
          dict(model=Model.TWO_BERNOULLI, truth=(0.2, 0.25))),
         (Rule.ROBBINS_EXACT, (0.5, 0.2, 0.1, 0.05), 20_000,
          dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0)),
-    ], ids=["bernoulli-arcsine", "normal-exact", "two-bernoulli-approx", "normal-exact-chain"])
+        (Rule.LIKELIHOOD_RATIO, (0.95,), 20_000,
+         dict(model=Model.BERNOULLI, truth=0.3, weight=None)),
+        (Rule.ROBBINS_EXACT, (0.1,), 20_000,
+         dict(model=Model.BERNOULLI, truth=0.3, weight=BetaWeight(1.0, 1.0))),
+    ], ids=["bernoulli-arcsine", "normal-exact", "two-bernoulli-approx", "normal-exact-chain",
+            "bernoulli-lr", "bernoulli-exact"])
     def test_peak_flat_in_reps_and_bounded(self, rule, levels, n_max, kw):
         peaks = []
+        kw = {"weight": NormalWeight(0.5, 1.0), **kw}
         for reps in (256, 1024):
-            plans = [SequencePlan(rule=rule, level=level, weight=NormalWeight(0.5, 1.0),
-                                  n_min=10, n_max=n_max, reps=reps, seed=3, **kw)
+            plans = [SequencePlan(rule=rule, level=level, n_min=10, n_max=n_max, reps=reps,
+                                  seed=3, **kw)
                      for level in levels]
             tracemalloc.start()
             try:
@@ -512,22 +633,26 @@ class TestDeterminism:
         rows = [run_plan(plan, threads=t) for t in (1, 2, 8)]
         assert rows[0] == rows[1] == rows[2]
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        # a thread count below one once ran serially without a word
+        plan = SequencePlan(model=Model.BERNOULLI, truth=0.4, rule=Rule.LIKELIHOOD_RATIO,
+                            level=0.9, n_min=5, n_max=20, reps=3)
+        with pytest.raises(ValueError, match="threads"):
+            run_plan(plan, threads=threads)
+        with pytest.raises(ValueError, match="threads"):
+            reproduce_table("T1", reps=3, threads=threads)
+
     def test_reproduce_table_csv_identical_across_threads(self):
         texts = [reproduce_table("T5", reps=200, seed=6, threads=t).csv_text()
                  for t in (1, 2, 8)]
         assert texts[0] == texts[1] == texts[2]
 
-    @staticmethod
-    def _pair_table_size(theta, n_min, n_max, reps, seed):
-        S = np.array([np.cumsum(replication_rng(seed, r).random(n_max) < theta)
-                      for r in range(reps)])[:, n_min - 1:]
-        return int((S.max(axis=0) - S.min(axis=0) + 1).sum())
-
     def test_level_set_kernel_thread_invariance(self):
-        base = dict(model=Model.BERNOULLI, truth=0.4, n_min=10, n_max=2000, reps=300, seed=13)
-        assert self._pair_table_size(0.4, 10, 2000, 300, 13) > 3 * SOLVE_PAIRS
+        base = dict(model=Model.BERNOULLI, truth=0.4, n_min=10, n_max=2000, reps=800, seed=13)
+        assert base["reps"] > 3 * CHUNK_REPS       # more chunks than workers
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)     # interleave the slice workers finely
+        sys.setswitchinterval(1e-5)     # interleave the chunk workers finely
         try:
             for plan in (SequencePlan(rule=Rule.LIKELIHOOD_RATIO, level=0.95, **base),
                          SequencePlan(rule=Rule.ROBBINS_EXACT, level=0.1,
@@ -538,8 +663,8 @@ class TestDeterminism:
             sys.setswitchinterval(interval)
 
     def test_level_set_table_csv_identical_across_threads(self):
-        assert self._pair_table_size(0.5, 100, 4000, 120, 6) > 3 * SOLVE_PAIRS
-        texts = [reproduce_table("T3", reps=120, seed=6, threads=t).csv_text()
+        reps = 3 * CHUNK_REPS + 40
+        texts = [reproduce_table("T3", reps=reps, seed=6, threads=t).csv_text()
                  for t in (1, 2, 8)]
         assert texts[0] == texts[1] == texts[2]
 
