@@ -318,11 +318,12 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     from the (seed, r) counter stream, so the estimate is independent of any
     parallel scheduling by the caller.
     """
+    from .simulation import _require_integers, replication_rng
     if not k > 0:
         raise ValueError(f"k must be positive, got {k}")
+    _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
-    from .simulation import replication_rng
     log_k = math.log(k)
     crossings = 0
     for r in range(reps):

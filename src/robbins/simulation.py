@@ -12,7 +12,9 @@ Determinism contract
 Replication r of a run with master seed s draws from the counter-based stream
 Philox(key=(s, r)); see replication_rng.  Work is partitioned into fixed-size
 chunks of replications whose integer tallies are summed in chunk order, so
-results are bit-identical for any worker count.  Draw order per replication:
+results are bit-identical for any worker count.  A chunk draws in row blocks of
+at most STREAM_CELLS cells with one Philox of its own, re-keyed to (s, r) at a
+fresh state per row, so each row is the replication_rng(s, r) stream.  Draw order:
 
 * normal model:        y = theta + sigma0 * rng.standard_normal(n_max)
 * bernoulli model:     successes are rng.random(n_max) < theta
@@ -27,10 +29,10 @@ takes the plans themselves, so a cell equals its plan run alone by run_plan.
 The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
 log-odds) share one vectorised half-width, pinned to the scalar library rules by
 the test suite.  The level-set rules (exact Bernoulli mixture, likelihood ratio)
-cover theta at n for one band of counts, bisected once per call on the endpoints
-of bernoulli.binomial_level_set, the solver behind the scalar rules too; a chunk
-is flagged by integer compares against the bands, and endpoints are solved only
-where a contradiction depends on them (_level_set_flags).
+cover theta at n for one band of counts, bisected once per call and plan on the
+log-ratio at theta (_bands; binomial_level_set decides a probe within rounding of
+the threshold); a chunk is flagged by integer compares against the bands, and
+endpoints are solved only where a contradiction depends on them (_level_set_flags).
 
 Closed-form plans of one kernel call sharing a weight (or having none) form a
 chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
@@ -79,6 +81,7 @@ __all__ = [
 
 CHUNK_REPS = 256          # fixed chunk size; never depends on the worker count
 TILE_COLS = 256           # fixed column tile of the flag scan; likewise
+STREAM_CELLS = 1 << 18    # cells per block of drawn streams (2 MiB of float64)
 
 CSV_COLUMNS = ["table", "row_label", "level", "contradictions_pct", "noncoverages_pct",
                "se_contra", "se_noncov", "reps", "nmin", "nmax", "seed"]
@@ -88,8 +91,24 @@ def replication_rng(seed: int, rep: int) -> np.random.Generator:
     """Counter-based stream splitting: replication rep of master seed seed uses
     Philox keyed by the pair (seed mod 2^64, rep).  Streams are independent of
     chunking, scheduling and worker count."""
-    key = np.array([np.uint64(seed % (1 << 64)), np.uint64(rep)], dtype=np.uint64)
+    key = np.array([int(seed) % (1 << 64), rep], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _streams(seed, r0, r1, draw, shape):
+    """Yield (i, x) per block of <= STREAM_CELLS cells (>= 1 row) of replications r0..r1-1:
+    x[k] is replication_rng(seed, r0 + i + k).<draw>(shape), by one re-keyed Philox."""
+    gen = replication_rng(seed, r0)
+    bits, state = gen.bit_generator, gen.bit_generator.state
+    key = state["state"]["key"]
+    block = np.empty((max(1, STREAM_CELLS // math.prod(shape)),) + shape)
+    for i in range(0, r1 - r0, len(block)):
+        x = block[:r1 - r0 - i]
+        for k, row in enumerate(x):
+            key[1] = r0 + i + k
+            bits.state = state
+            getattr(gen, draw)(out=row)
+        yield i, x
 
 
 class Model(str, Enum):
@@ -136,6 +155,7 @@ class SequencePlan:
     label: str = ""
 
     def __post_init__(self):
+        _require_integers(seed=self.seed, reps=self.reps, n_min=self.n_min, n_max=self.n_max)
         if not (1 <= self.n_min <= self.n_max):
             raise ValueError(f"need 1 <= n_min <= n_max, got [{self.n_min}, {self.n_max}]")
         if self.reps < 1:
@@ -153,6 +173,13 @@ class SequencePlan:
             raise ValueError(f"rule {self.rule.value} on model {self.model.value} takes "
                              f"{need}, got {type(self.weight).__name__}")
         _check_truth(self.model, self.truth)
+
+
+def _require_integers(**values) -> None:
+    """Sizes and seeds are integers, not bools (a float seed would be truncated)."""
+    for name, x in values.items():
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def _check_truth(model, truth) -> None:
@@ -333,9 +360,10 @@ def _normal_counts(plans, threads):
     def worker(r0, r1):
         m = r1 - r0
         total = np.empty((m, n_max))
-        for i in range(m):
-            total[i] = theta + sigma0 * replication_rng(seed, r0 + i).standard_normal(n_max)
-        np.cumsum(total, axis=1, out=total)
+        for i, y in _streams(seed, r0, r1, "standard_normal", (n_max,)):
+            y *= sigma0
+            y += theta
+            np.cumsum(y, axis=1, out=total[i:i + len(y)])
         est = total[:, n_min - 1:]
         est /= ns
         return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
@@ -356,10 +384,9 @@ def _two_bernoulli_counts(plans, threads):
         m = r1 - r0
         s1 = np.empty((m, ns.size))
         s2 = np.empty_like(s1)
-        for i in range(m):
-            u = replication_rng(seed, r0 + i).random((2, n_max))
-            s1[i] = np.cumsum(u[0] < theta1)[n_min - 1:]
-            s2[i] = np.cumsum(u[1] < theta2)[n_min - 1:]
+        for i, u in _streams(seed, r0, r1, "random", (2, n_max)):
+            s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
+            s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
         for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
             cols = slice(j0, j0 + TILE_COLS)
             t1, t2, n = s1[:, cols], s2[:, cols], ns[cols]
@@ -398,39 +425,6 @@ def _drop(plan, s, n):
     return lmax - (math.log(plan.level) + log_q)
 
 
-def _bands(plans, ns, theta):
-    """(a, b) per plan and n: theta is covered at exactly the counts a <= s <= b, the
-    crossing statistic being convex in s (empty band: a = b + 1).  a and b + 1 are
-    the least s with upper >= theta and with lower > theta, bisected for all plans,
-    n and both edges at once, after probes at the normal edge n theta -/+
-    z sqrt(n theta (1 - theta)) + z^2 (1 - 2 theta)/6, z^2 = 2 drop."""
-    side, k, j = (x.ravel() for x in np.indices((2, len(plans), ns.size)))
-    n = ns[j].astype(float)
-
-    def drop(s, e):         # the drops of elements e at counts s
-        out = np.empty(e.size)
-        for i, plan in enumerate(plans):
-            out[k[e] == i] = _drop(plan, s[k[e] == i], n[e][k[e] == i])
-        return out
-
-    edge = theta * n
-    for _ in range(2):      # the exact rule's drop varies with s
-        z2 = 2.0 * drop(np.clip(edge, 0.0, n), np.arange(n.size))
-        edge = theta * n + (2 * side - 1) * np.sqrt(z2 * n * theta * (1 - theta)) \
-            + z2 * (1 - 2 * theta) / 6
-    lo, hi = side - 1, ns[j] + side         # the edge lies in (lo, hi]
-    probes = [np.ceil(edge).astype(np.int64) - 1, np.ceil(edge).astype(np.int64)]
-    while (e := np.flatnonzero(hi - lo > 1)).size:
-        mid = (lo[e] + hi[e]) // 2
-        if probes:
-            mid = np.clip(probes.pop(0)[e], lo[e] + 1, hi[e] - 1)
-        lower, upper = binomial_level_set(mid, n[e], drop(mid.astype(float), e))
-        past = np.where(side[e] == 0, upper >= theta, lower > theta)
-        hi[e[past]], lo[e[~past]] = mid[past], mid[~past]
-    a, b = hi.reshape(2, len(plans), ns.size)
-    return a, b - 1
-
-
 def _log_ratio_tables(plan, ns):
     """(A, B, C + c, margin) per run: v is covered at (n, s) = (ns[j], s) iff
     stat(v; s) = A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with
@@ -446,6 +440,46 @@ def _log_ratio_tables(plan, ns):
     return A, B, C + c, _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
 
 
+def _excess(tables, ns, v):
+    """The scaled excess (r, s, j) -> (stat(v[r]; s) - c)(1 - v[r]) at counts s of
+    ns[j], of the crossing statistic over its threshold (see _log_ratio_tables)."""
+    A, B, C, _ = tables
+    log1m_v = np.log1p(-v)
+    logit_v = np.log(v) - log1m_v
+
+    def excess(r, s, j):
+        ex = A.take(s)
+        ex += B.take(ns[j] - s)
+        ex -= s * logit_v[r]
+        ex -= C[j] + ns[j] * log1m_v[r]
+        ex *= 1.0 - v[r]
+        return ex
+
+    return excess
+
+
+def _bands(plan, ns, theta, tables):
+    """(a, b) per n: theta is covered at exactly the counts a <= s <= b, the crossing
+    statistic being convex in s (empty band: a = b + 1).  a and b + 1, the least s with
+    upper >= theta and with lower > theta, are bisected for all n and both edges at once:
+    outside the margin, theta is covered iff its _excess is negative, and else lies
+    below the interval iff s > n theta; inside it, the endpoints decide."""
+    excess, margin = _excess(tables, ns, np.array([theta])), tables[3]
+    side, j = (x.ravel() for x in np.indices((2, ns.size)))
+    lo, hi = side - 1, ns[j] + side         # the edge lies in (lo, hi]
+    while (e := np.flatnonzero(hi - lo > 1)).size:
+        s, n = (lo[e] + hi[e]) // 2, ns[j[e]]
+        ex = excess(0, s, j[e])
+        covered, high = ex < 0, s > n * theta
+        past = np.where(side[e] == 0, covered | high, ~covered & high)
+        if (near := np.flatnonzero(np.abs(ex) <= margin[j[e]])).size:
+            lower, upper = binomial_level_set(s[near], n[near], _drop(plan, s[near], n[near]))
+            past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
+        hi[e[past]], lo[e[~past]] = s[past], s[~past]
+    a, b = hi.reshape(2, ns.size)
+    return a, b - 1
+
+
 def _level_set_flags(plan, sc, ns, a, b, tables):
     """(contradicted, noncovered) counts of a level-set plan on a chunk of counts sc
     (replications x ns) with band [a, b] and _log_ratio_tables.  A row leaving the
@@ -454,21 +488,12 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
     looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts as the
     endpoint at the look of largest relative deficit and is lowered where stat(U*)
     does not clear c."""
-    A, B, C, margin = tables
-
-    def excess(r, s, j):        # (stat(v[r]; s) - c)(1 - v[r]) at counts s of ns[j]
-        ex = A.take(s)
-        ex += B.take(ns[j] - s)
-        ex -= s * logit_v[r]
-        ex -= C[j] + ns[j] * log1m_v[r]
-        ex *= 1.0 - v[r]
-        return ex
-
+    margin = tables[3]
     low, high = sc < a, sc > b
     below, above = low.any(axis=1), high.any(axis=1)
     rows = np.flatnonzero(below != above)
     side = below[rows]
-    r, j = np.nonzero(low[rows] | high[rows])     # a one-sided row violates on one side
+    r, j = np.divmod(np.flatnonzero(low[rows] | high[rows]), ns.size)  # all on one side
     s, n = sc[rows[r], j].astype(np.intp), ns[j]
     dev = np.where(side[r], a[j] - s, s - b[j]) / n
     first = np.searchsorted(r, range(rows.size))      # each row's first violating look
@@ -476,21 +501,19 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
     pick = top[np.searchsorted(r[top], range(rows.size))]
     lower, upper = binomial_level_set(s[pick], n[pick], _drop(plan, s[pick], n[pick]))
     v = np.where(side, upper, lower)
-    log1m_v = np.log1p(-v)
-    logit_v = np.log(v) - log1m_v
+    excess = _excess(tables, ns, v)
     cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
     lower, upper = binomial_level_set(s[cand], n[cand], _drop(plan, s[cand], n[cand]))
     up = side[r[cand]]
     np.minimum.at(v, r[cand][up], upper[up])
     np.maximum.at(v, r[cand][~up], lower[~up])
-    log1m_v = np.log1p(-v)
-    logit_v = np.log(v) - log1m_v
+    excess = _excess(tables, ns, v)
     hit, near = np.zeros(rows.size, dtype=bool), []
     for j0 in range(0, ns.size, TILE_COLS):
         live, cols = np.flatnonzero(~hit), slice(j0, j0 + TILE_COLS)
         s = sc[rows[live], cols].astype(np.intp)
         ex = excess(live[:, None], s, cols)
-        rr, jj = np.nonzero(ex >= -margin[cols])
+        rr, jj = np.divmod(np.flatnonzero(ex >= -margin[cols]), ex.shape[1])
         over = ex[rr, jj] > margin[cols][jj]
         hit[live[rr[over]]] = True
         near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
@@ -512,20 +535,21 @@ def _bernoulli_counts(plans, threads):
     arc = np.array([pl.rule == Rule.ROBBINS_APPROX for pl in plans])
     arc_plans = [pl for pl, is_arc in zip(plans, arc) if is_arc]
     set_plans = [pl for pl, is_arc in zip(plans, arc) if not is_arc]
-    bands = np.array(_bands(set_plans, ns, theta), dtype=count_type)
     tables = [_log_ratio_tables(pl, ns) for pl in set_plans]
+    bands = [np.array(_bands(pl, ns, theta, tab), dtype=count_type)
+             for pl, tab in zip(set_plans, tables)]
 
     def gen_worker(r0, r1):
         sc = np.empty((r1 - r0, ns.size), dtype=count_type)
-        for i in range(r0, r1):
-            sc[i - r0] = np.cumsum(replication_rng(seed, i).random(n_max) < theta)[n_min - 1:]
+        for i, u in _streams(seed, r0, r1, "random", (n_max,)):
+            sc[i:i + len(u)] = np.cumsum(u < theta, axis=1, dtype=count_type)[:, n_min - 1:]
         counts = np.zeros((len(plans), 2), dtype=np.int64)
         if arc_plans:
             counts[arc] = _closed_form_counts(
                 arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
                     np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
                 theta, _sin2_bounds)
-        for k, pl, a, b, tab in zip(np.flatnonzero(~arc), set_plans, *bands, tables):
+        for k, pl, (a, b), tab in zip(np.flatnonzero(~arc), set_plans, bands, tables):
             counts[k] = _level_set_flags(pl, sc, ns, a, b, tab)
         return counts
 

@@ -323,6 +323,15 @@ class TestVille:
         with pytest.raises(ValueError, match="reps >= 1 and n_max >= 1"):
             verify_ville_inequality(path, k=10.0, n_max=n_max, reps=reps, seed=1)
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("reps", 20.5),
+                                              ("n_max", 10.0)])
+    def test_rejects_non_integer_sizes_and_seed(self, field, value):
+        # seed 1.5 used to be truncated; reps 20.5 raised a bare TypeError
+        path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
+        sizes = {"n_max": 10, "reps": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            verify_ville_inequality(path, k=10.0, **sizes)
+
     @pytest.mark.parametrize("theta, sigma0_sq", [(math.nan, 1.0), (math.inf, 1.0),
                                                   (0.0, math.inf), (0.0, math.nan), (0.0, 0.0)])
     def test_normal_path_rejects_non_finite_input(self, theta, sigma0_sq):

@@ -30,6 +30,22 @@ class TestReplicationRng:
     def test_large_seed_accepted(self):
         replication_rng(2 ** 70 + 3, 0).random(1)
 
+    @pytest.mark.parametrize("draw, shape", [("random", (40_000,)), ("random", (2, 40_000)),
+                                             ("standard_normal", (40_000,))])
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("seed", [42, 2 ** 70 + 3])
+    def test_block_streams_equal_replication_rng(self, monkeypatch, draw, shape, rows, seed):
+        # one re-keyed Philox per chunk draws blocks of 1, 3 and (by default) 6 or 3
+        # rows; 7 replications leave a ragged last block
+        if rows is not None:
+            monkeypatch.setattr(simulation, "STREAM_CELLS", rows * math.prod(shape))
+        r0, r1 = 300, 307
+        got = np.full((r1 - r0,) + shape, np.nan)
+        for i, x in simulation._streams(seed, r0, r1, draw, shape):
+            got[i:i + len(x)] = x
+        want = [getattr(replication_rng(seed, r), draw)(shape) for r in range(r0, r1)]
+        assert np.array_equal(got, want)
+
 
 class TestPlanValidation:
     def test_weight_required_for_mixture_rules(self):
@@ -85,6 +101,24 @@ class TestPlanValidation:
         with pytest.raises(ValueError, match="sigma0_sq"):
             SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=0.0, rule=Rule.CLASSICAL_Z,
                          level=0.95, sigma0_sq=sigma0_sq)
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("seed", True), ("reps", 40.0),
+                                              ("reps", np.float64(3)), ("n_min", 2.0),
+                                              ("n_max", 50.5), ("n_max", False)])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        # seed 1.5 used to run seed 1 and report 1.5; reps 40.0 and n_max 50.5
+        # raised a bare TypeError and IndexError
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SequencePlan(model=Model.BERNOULLI, truth=0.5, rule=Rule.LIKELIHOOD_RATIO,
+                         level=0.95, **{field: value})
+
+    def test_numpy_integer_sizes_and_seed_accepted(self):
+        base = dict(model=Model.NORMAL_KNOWN_VAR, truth=0.0, rule=Rule.CLASSICAL_Z,
+                    level=0.9)
+        plain = run_plan(SequencePlan(n_min=5, n_max=40, reps=30, seed=3, **base))
+        wide = run_plan(SequencePlan(n_min=np.int32(5), n_max=np.int64(40),
+                                     reps=np.uint16(30), seed=np.int64(3), **base))
+        assert wide == plain
 
     def test_valid_truths_accepted(self):
         SequencePlan(model=Model.BERNOULLI, truth=np.float64(0.3),
@@ -402,25 +436,52 @@ class TestLevelSetBands:
     @pytest.mark.parametrize("table", ["T3", "T4"])
     def test_band_compare_equals_endpoint_coverage_at_every_count(self, table):
         ns = np.concatenate([np.arange(1, 121), np.arange(3981, 4001)])
+        for theta, plans in self._groups(table):
+            for plan in plans:
+                a, b = self._assert_band_equals_endpoint_coverage(plan, ns, theta)
+                assert np.all(a <= b)
+
+    def _assert_band_equals_endpoint_coverage(self, plan, ns, theta):
+        """The band of plan at theta, checked against binomial_level_set coverage
+        at every count s = 0..n of every n in ns."""
         n, s = (np.concatenate(x).astype(float)
                 for x in zip(*[(np.full(m + 1, m), np.arange(m + 1)) for m in ns]))
         j = np.repeat(np.arange(ns.size), ns + 1)
+        a, b = simulation._bands(plan, ns, theta, simulation._log_ratio_tables(plan, ns))
+        lower, upper = bernoulli.binomial_level_set(s, n, self._drop(plan, s, n))
+        outside = (s < a[j]) | (s > b[j])
+        assert np.array_equal(outside, ~((lower <= theta) & (theta <= upper))), \
+            (theta, plan.label, plan.level)
+        return a, b
+
+    @pytest.mark.parametrize("theta", [0.02, 0.98])
+    def test_exact_rule_band_edges_at_zero_and_n(self, theta):
+        # near the ends of (0, 1) the band of a small n reaches s = 0 or s = n
+        ns = np.arange(1, 61)
+        for a0, b0 in ((0.5, 0.5), (1.0, 1.0), (5.0, 5.0)):
+            for eps in (0.5, 0.05):
+                plan = SequencePlan(model=Model.BERNOULLI, truth=theta, rule=Rule.ROBBINS_EXACT,
+                                    level=eps, weight=BetaWeight(a0, b0), n_min=1, n_max=60)
+                a, b = self._assert_band_equals_endpoint_coverage(plan, ns, theta)
+                assert np.any(a == 0) if theta < 0.5 else np.any(b == ns), (a0, eps)
+
+    @pytest.mark.parametrize("table", ["T3", "T4"])
+    def test_probes_inside_margin_decided_by_endpoints(self, monkeypatch, table):
+        # a margin no excess clears sends every probe to binomial_level_set
+        monkeypatch.setattr(simulation, "_LOG_RATIO_MARGIN", 1e300)
+        ns = np.arange(1, 121)
         for theta, plans in self._groups(table):
-            a, b = simulation._bands(plans, ns, theta)
-            for k, plan in enumerate(plans):
-                lower, upper = bernoulli.binomial_level_set(s, n, self._drop(plan, s, n))
-                outside = (s < a[k][j]) | (s > b[k][j])
-                assert np.array_equal(outside, ~((lower <= theta) & (theta <= upper))), \
-                    (theta, plan.label, plan.level)
-                assert np.all(a[k] <= b[k])
+            for plan in plans[::3]:
+                self._assert_band_equals_endpoint_coverage(plan, ns, theta)
 
     def test_empty_band_flags_every_replication_noncovered(self):
         # conf 0.01: a drop of 8e-5, so no count of n <= 3 draws covers 0.55
         theta, n_max, reps, seed = 0.55, 3, 40, 2
         plan = SequencePlan(model=Model.BERNOULLI, truth=theta, rule=Rule.LIKELIHOOD_RATIO,
                             level=0.01, n_min=1, n_max=n_max, reps=reps, seed=seed)
-        a, b = simulation._bands([plan], np.arange(1, n_max + 1), theta)
-        assert np.all(a[0] == b[0] + 1)
+        ns = np.arange(1, n_max + 1)
+        a, b = simulation._bands(plan, ns, theta, simulation._log_ratio_tables(plan, ns))
+        assert np.all(a == b + 1)
 
         def replay(rng, mon):
             s = np.cumsum(rng.random(n_max) < theta)
@@ -666,6 +727,20 @@ class TestDeterminism:
         reps = 3 * CHUNK_REPS + 40
         texts = [reproduce_table("T3", reps=reps, seed=6, threads=t).csv_text()
                  for t in (1, 2, 8)]
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("table", ["T1", "T5"])
+    def test_closed_form_table_csv_identical_across_threads(self, table):
+        # each chunk draws its own streams; finely interleaved workers must not
+        # share a generator or a block buffer
+        reps = 3 * CHUNK_REPS + 40
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            texts = [reproduce_table(table, reps=reps, seed=6, threads=t).csv_text()
+                     for t in (1, 2, 8)]
+        finally:
+            sys.setswitchinterval(interval)
         assert texts[0] == texts[1] == texts[2]
 
     @pytest.mark.parametrize("table", ["T3", "T5"])
