@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import betaln, chdtri, expit, gammaln, xlogy
 
 from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel
-from .engine import ConcaveLogLikelihood, EndpointSolveError
+from .engine import ConcaveLogLikelihood, EndpointSolveError, LogRatioPath
 
 __all__ = [
     "BernoulliSuffStat",
@@ -196,7 +196,7 @@ def arcsine_approx_interval(stat: BernoulliSuffStat, weight_on_omega: NormalWeig
     return Interval(math.sin(lo) ** 2, math.sin(hi) ** 2)
 
 
-def ville_log_ratio_path(theta: float, weight: BetaWeight):
+def ville_log_ratio_path(theta: float, weight: BetaWeight) -> LogRatioPath:
     """Path builder for engine.verify_ville_inequality under i.i.d. sampling at
     the true proportion theta; the binomial coefficient cancels in q_n / p_n."""
     if not (0.0 < theta < 1.0):
@@ -212,4 +212,4 @@ def ville_log_ratio_path(theta: float, weight: BetaWeight):
         log_p = s * log_t + (ns - s) * log_1mt
         return log_q - log_p
 
-    return path
+    return LogRatioPath(path, "bernoulli", theta, weight)

@@ -293,6 +293,22 @@ def trapezoid_log_mixture(log_integrand: Callable[[np.ndarray], np.ndarray],
 
 
 @dataclass(frozen=True)
+class LogRatioPath:
+    """A model's crossing path (its ville_log_ratio_path): path(rng, n_max) is fn(rng,
+    n_max).  verify_ville_inequality may run the kernel of model, truth, weight and
+    sigma0_sq in place of fn, so fn must be that path."""
+
+    fn: Callable[[np.random.Generator, int], np.ndarray]
+    model: str
+    truth: float
+    weight: object
+    sigma0_sq: float = 1.0
+
+    def __call__(self, rng: np.random.Generator, n_max: int) -> np.ndarray:
+        return self.fn(rng, n_max)
+
+
+@dataclass(frozen=True)
 class VilleCheckResult:
     """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound."""
 
@@ -308,29 +324,53 @@ class VilleCheckResult:
         return self.estimate <= self.bound + 3.0 * self.std_error
 
 
+def _kernel_plan(path, k, n_max, reps, seed):
+    """The exact-rule cell at level 1/k from n = 1 that counts the crossings, or None
+    (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge whose
+    log-ratio lies within the kernel's margin of log k, where its strict count may
+    differ from the loop's >= (ties: theta 1/2, Beta(1, 1) has q_3/p_3 = 2 at s = 0)."""
+    from .simulation import Model, Rule, SequencePlan, _bands, _excess, _log_ratio_tables
+    if not (isinstance(path, LogRatioPath) and n_max <= 20_000):    # chunk <= 39 MiB
+        return None
+    plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k,
+                        path.weight, 1, n_max, reps, seed, path.sigma0_sq)
+    if plan.model == Model.BERNOULLI:
+        ns, j = np.arange(1, n_max + 1), np.tile(np.arange(n_max), 4)
+        a, b = _bands(plan, ns, plan.truth, tables := _log_ratio_tables(plan, ns))
+        s = np.clip(np.concatenate([a - 1, a, b, b + 1]), 0, ns[j])
+        if np.any(np.abs(_excess(tables, ns, np.array([path.truth]))(0, s, j)) <= tables[3][j]):
+            return None
+    return plan
+
+
 def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int], np.ndarray],
                             k: float, n_max: int, reps: int, seed: int) -> VilleCheckResult:
     """Estimate the probability that the mixture-to-truth likelihood ratio ever
-    reaches k within n_max samples; the supermartingale bound caps it at 1/k.
+    reaches k > 1 within n_max samples; the supermartingale bound caps it at 1/k.
 
     log_ratio_path(rng, n_max) must return the replication's path of
     log(q_n / p_n(theta_true)) for n = 1..n_max.  Replication r always draws
     from the (seed, r) counter stream, so the estimate is independent of any
-    parallel scheduling by the caller.
+    parallel scheduling by the caller.  A LogRatioPath runs as a table-kernel cell
+    on one thread (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
+    float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
+    holds one O(n_max) path at a time.
     """
-    from .simulation import _require_integers, replication_rng
-    if not k > 0:
-        raise ValueError(f"k must be positive, got {k}")
+    from .simulation import _KERNELS, _require_integers, replication_rng
+    if not 1.0 < k < math.inf:
+        raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
-    log_k = math.log(k)
-    crossings = 0
-    for r in range(reps):
-        top = float(np.max(log_ratio_path(replication_rng(seed, r), n_max)))
-        if math.isnan(top):
-            raise ValueError(f"replication {r}: the log-ratio path has NaN values")
-        crossings += top >= log_k
+    if (plan := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
+        crossings = int(_KERNELS[plan.model]([plan], 1)[0][1])
+    else:
+        log_k, crossings = math.log(k), 0
+        for r in range(reps):
+            top = float(np.max(log_ratio_path(replication_rng(seed, r), n_max)))
+            if math.isnan(top):
+                raise ValueError(f"replication {r}: the log-ratio path has NaN values")
+            crossings += top >= log_k
     p = crossings / reps
     se = math.sqrt(p * (1.0 - p) / reps)
     return VilleCheckResult(estimate=p, bound=1.0 / k, std_error=se,

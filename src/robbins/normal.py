@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel
-from .engine import ConcaveLogLikelihood, MixtureLogDensity, closed_form_half_width
+from .engine import ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, closed_form_half_width
 
 __all__ = [
     "NormalSuffStat",
@@ -177,7 +177,7 @@ def approx_interval_unknown_var(stat: NormalSuffStat, weight: NormalWeight,
     return Interval(stat.ybar - d, stat.ybar + d)
 
 
-def ville_log_ratio_path(theta: float, sigma0_sq: float, weight: NormalWeight):
+def ville_log_ratio_path(theta: float, sigma0_sq: float, weight: NormalWeight) -> LogRatioPath:
     """Path builder for engine.verify_ville_inequality: one replication's
     log(q_n / p_n(theta)) for n = 1..n_max under i.i.d. N(theta, sigma0^2)."""
     if not (math.isfinite(theta) and 0 < sigma0_sq < math.inf):
@@ -194,4 +194,4 @@ def ville_log_ratio_path(theta: float, sigma0_sq: float, weight: NormalWeight):
         log_p = -0.5 * np.log(2.0 * pi * v_lik) - (ybar - theta) ** 2 / (2.0 * v_lik)
         return log_q - log_p
 
-    return path
+    return LogRatioPath(path, "normal", theta, weight, sigma0_sq)

@@ -160,6 +160,14 @@ class TestVilleCheckCommand:
         assert rc == 2
         assert "--k" in err
 
+    def test_infinite_k_rejected(self, capsys):
+        # once a PASS whose JSON held "k": Infinity, which is not JSON
+        rc, out, err = run(capsys, "ville-check", "--k", "inf", "--reps", "20", "--nmax", "50",
+                           "--format", "json")
+        assert rc == 2
+        assert out == ""
+        assert "k must satisfy 1 < k < inf" in err
+
     @pytest.mark.parametrize("size", [["--reps", "-5"], ["--reps", "0"], ["--nmax", "0"]])
     def test_degenerate_sizes_rejected(self, capsys, size):
         rc, out, err = run(capsys, "ville-check", "--k", "10", *size)

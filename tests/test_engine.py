@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import betaln
 
-from robbins import bernoulli, normal
+from robbins import bernoulli, engine, normal
 from robbins.core import BetaWeight, NormalWeight, PersistenceLevel
 from robbins.engine import (BISECT_XTOL, ConcaveLogLikelihood, NoBracketError, NonFiniteIntegrandError,
                             ThresholdAboveMaxError, closed_form_half_width, concave_level_set,
                             laplace_log_mixture, quadrature_log_mixture, robbins_region,
                             trapezoid_log_mixture, verify_ville_inequality)
+from robbins.simulation import CHUNK_REPS
 
 EPS02 = PersistenceLevel(0.2)
 
@@ -312,10 +313,60 @@ class TestVille:
         res = verify_ville_inequality(path, k=10.0, n_max=1000, reps=3000, seed=13)
         assert res.estimate <= 0.1 + 3.0 * res.std_error
 
-    def test_rejects_bad_k(self):
+    @pytest.mark.parametrize("k", [0.0, 0.5, 1.0, math.inf, math.nan])
+    def test_rejects_bad_k(self, k):
+        # k = inf once gave crossings 0 and bound 0.0, and a PASS
         path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
-        with pytest.raises(ValueError):
-            verify_ville_inequality(path, k=0.0, n_max=10, reps=10, seed=1)
+        for p in (path, lambda rng, n: path(rng, n)):
+            with pytest.raises(ValueError, match="k must satisfy 1 < k < inf"):
+                verify_ville_inequality(p, k=k, n_max=10, reps=10, seed=1)
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    @pytest.mark.parametrize("n_max", [1, 300])
+    @pytest.mark.parametrize("k", [1.5, 10.0, 100.0])
+    @pytest.mark.parametrize("model", ["normal", "bernoulli"])
+    def test_kernel_route_equals_loop(self, model, k, n_max, seed):
+        # a LogRatioPath runs through the table kernel; a plain callable takes the
+        # per-replication loop, the reference.  300 reps are two chunks.
+        path = (normal.ville_log_ratio_path(0.5, 2.0, NormalWeight(1.0, 2.0))
+                if model == "normal" else
+                bernoulli.ville_log_ratio_path(0.7, BetaWeight(0.5, 0.5)))
+        kernel = verify_ville_inequality(path, k=k, n_max=n_max, reps=300, seed=seed)
+        loop = verify_ville_inequality(lambda rng, n: path(rng, n), k=k, n_max=n_max,
+                                       reps=300, seed=seed)
+        assert kernel == loop
+
+    @pytest.mark.parametrize("n_max", [3, 7, 300])
+    @pytest.mark.parametrize("theta, a, b, k", [
+        (0.5, 1.0, 1.0, 4 / 3), (0.5, 1.0, 1.0, 2.0), (0.5, 1.0, 1.0, 16.0),
+        (0.25, 1.0, 1.0, 2.0), (0.5, 0.5, 0.5, 1.5)])
+    def test_kernel_route_equals_loop_on_exact_ties(self, theta, a, b, k, n_max):
+        # q_n/p_n equals k exactly at some (n, s): under theta 1/2 and Beta(1, 1) it is
+        # 4/3 at n = 2, 2 at n = 3 and 16 at n = 7 with s = 0 or n.  The kernel counts a
+        # strict exceedance (by 0 and 6 of 400 at k = 16, n_max 7), so these run the loop.
+        path = bernoulli.ville_log_ratio_path(theta, BetaWeight(a, b))
+        kernel = verify_ville_inequality(path, k=k, n_max=n_max, reps=400, seed=1)
+        loop = verify_ville_inequality(lambda rng, n: path(rng, n), k=k, n_max=n_max,
+                                       reps=400, seed=1)
+        assert kernel == loop
+
+    def test_kernel_route_taken(self):
+        path = bernoulli.ville_log_ratio_path(0.3, BetaWeight(1.0, 1.0))
+        assert engine._kernel_plan(path, 10.0, 4000, 2000, 42) is not None
+        assert engine._kernel_plan(path, 10.0, 20_001, 2000, 42) is None
+        assert engine._kernel_plan(lambda rng, n: path(rng, n), 10.0, 4000, 2000, 42) is None
+        # the first tie of q_n/p_n = 16 under theta 1/2 and Beta(1, 1) is at n = 7
+        tied = bernoulli.ville_log_ratio_path(0.5, BetaWeight(1.0, 1.0))
+        assert engine._kernel_plan(tied, 16.0, 6, 400, 1) is not None
+        assert engine._kernel_plan(tied, 16.0, 7, 400, 1) is None
+
+    def test_kernel_route_equals_loop_over_many_chunks(self):
+        for path in (normal.ville_log_ratio_path(0.5, 2.0, NormalWeight(1.0, 2.0)),
+                     bernoulli.ville_log_ratio_path(0.7, BetaWeight(0.5, 0.5))):
+            kernel, loop = (verify_ville_inequality(p, k=5.0, n_max=400,
+                                                    reps=3 * CHUNK_REPS + 40, seed=13)
+                            for p in (path, lambda rng, n: path(rng, n)))
+            assert kernel == loop, path.model
 
     @pytest.mark.parametrize("reps, n_max", [(-2, 10), (0, 10), (10, 0)])
     def test_rejects_degenerate_sizes(self, reps, n_max):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import chdtri
 
-from robbins import bernoulli, normal, reference, simulation, two_bernoulli
+from robbins import bernoulli, engine, normal, reference, simulation, two_bernoulli
 from robbins.core import BetaWeight, Interval, NormalWeight, PersistenceLevel, SequenceMonitor
 from robbins.simulation import (CHUNK_REPS, CSV_COLUMNS, CellComparison, EndpointSolveError,
                                 Model, ReportRow, Rule, SequencePlan, TableReport,
@@ -554,15 +554,39 @@ class TestBoundedMemory:
     ], ids=["bernoulli-arcsine", "normal-exact", "two-bernoulli-approx", "normal-exact-chain",
             "bernoulli-lr", "bernoulli-exact"])
     def test_peak_flat_in_reps_and_bounded(self, rule, levels, n_max, kw):
-        peaks = []
         kw = {"weight": NormalWeight(0.5, 1.0), **kw}
+        self.check_peaks(lambda reps: simulation._run_plans("-", [
+            SequencePlan(rule=rule, level=level, n_min=10, n_max=n_max, reps=reps, seed=3, **kw)
+            for level in levels], threads=1))
+
+    @pytest.mark.parametrize("path", [
+        normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0)),
+        bernoulli.ville_log_ratio_path(0.3, BetaWeight(1.0, 1.0))], ids=["normal", "bernoulli"])
+    def test_crossing_check_peak_flat_in_reps_and_bounded(self, path):
+        self.check_peaks(lambda reps: engine.verify_ville_inequality(
+            path, k=10.0, n_max=20_000, reps=reps, seed=3))
+
+    @pytest.mark.parametrize("path", [
+        normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0)),
+        bernoulli.ville_log_ratio_path(0.3, BetaWeight(1.0, 1.0))], ids=["normal", "bernoulli"])
+    def test_long_crossing_check_runs_the_loop(self, path):
+        # a kernel chunk at n_max 100 000 would be 195 MiB of normal sums; the loop
+        # holds one path
+        tracemalloc.start()
+        try:
+            engine.verify_ville_inequality(path, k=10.0, n_max=100_000, reps=CHUNK_REPS, seed=3)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert peak < 16.0
+
+    @staticmethod
+    def check_peaks(run):
+        peaks = []
         for reps in (256, 1024):
-            plans = [SequencePlan(rule=rule, level=level, n_min=10, n_max=n_max, reps=reps,
-                                  seed=3, **kw)
-                     for level in levels]
             tracemalloc.start()
             try:
-                simulation._run_plans("-", plans, threads=1)
+                run(reps)
                 peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
             finally:
                 tracemalloc.stop()
