@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from math import asin, log, pi, sqrt
 
 import numpy as np
-from scipy.special import betaln, chdtri, expit, gammaln, xlogy
 
+from ._special import betaln, chdtri, expit, gammaln, xlogy
 from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel
 from .engine import ConcaveLogLikelihood, EndpointSolveError, LogRatioPath
 

@@ -310,7 +310,8 @@ class LogRatioPath:
 
 @dataclass(frozen=True)
 class VilleCheckResult:
-    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound."""
+    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound; where
+    q_n / p_n can equal k exactly, float rounding decides (verify_ville_inequality)."""
 
     estimate: float
     bound: float
@@ -326,9 +327,8 @@ class VilleCheckResult:
 
 def _kernel_plan(path, k, n_max, reps, seed):
     """The exact-rule cell at level 1/k from n = 1 that counts the crossings, or None
-    (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge whose
-    log-ratio lies within the kernel's margin of log k, where its strict count may
-    differ from the loop's >= (ties: theta 1/2, Beta(1, 1) has q_3/p_3 = 2 at s = 0)."""
+    (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge within the
+    kernel's margin of log k, where its strict count may differ from the loop's >= at a tie."""
     from .simulation import Model, Rule, SequencePlan, _bands, _excess, _log_ratio_tables
     if not (isinstance(path, LogRatioPath) and n_max <= 20_000):    # chunk <= 39 MiB
         return None
@@ -354,7 +354,9 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     parallel scheduling by the caller.  A LogRatioPath runs as a table-kernel cell
     on one thread (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
     float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
-    holds one O(n_max) path at a time.
+    holds one O(n_max) path at a time.  Exact ties: under the CLI's Bernoulli defaults
+    (theta 1/2, Beta(1, 1)) q_n/p_n equals k exactly at k = 4/3, 2 and 16 (s = 0, n = 2, 3,
+    7); there the float rounding of log B decides the count, and such settings take the loop.
     """
     from .simulation import _KERNELS, _require_integers, replication_rng
     if not 1.0 < k < math.inf:

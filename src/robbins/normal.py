@@ -17,8 +17,8 @@ from math import lgamma, log, pi, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._special import ndtri
 from .core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel
 from .engine import ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, closed_form_half_width
 

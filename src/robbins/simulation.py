@@ -58,8 +58,8 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import betaln, chdtri, gammaln, ndtri, xlogy
 
+from ._special import betaln, chdtri, gammaln, ndtri, xlogy
 from .bernoulli import EndpointSolveError, binomial_level_set
 from .core import BetaWeight, NormalWeight, WeightSpec
 from . import reference
