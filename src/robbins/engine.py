@@ -354,9 +354,8 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     parallel scheduling by the caller.  A LogRatioPath runs as a table-kernel cell
     on one thread (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
     float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
-    holds one O(n_max) path at a time.  Exact ties: under the CLI's Bernoulli defaults
-    (theta 1/2, Beta(1, 1)) q_n/p_n equals k exactly at k = 4/3, 2 and 16 (s = 0, n = 2, 3,
-    7); there the float rounding of log B decides the count, and such settings take the loop.
+    holds one O(n_max) path at a time.  Under the CLI's Bernoulli defaults (theta 1/2, Beta(1, 1))
+    q_n/p_n = k exactly at k = 4/3, 2, 16: float rounding of log B decides, and these take the loop.
     """
     from .simulation import _KERNELS, _require_integers, replication_rng
     if not 1.0 < k < math.inf:

@@ -103,7 +103,7 @@ def _centred_tilt(n1: int, n2: int, s1: int, t: int) -> tuple:
     its value at s1, so the log pmf of s1 is -log sum exp(b + psi v)."""
     lo, hi = fnch_support(n1, n2, t)
     u = np.arange(lo, hi + 1)
-    b = -sum(gammaln(c + s * u) for c, s in ((1, 1), (n1 + 1, -1), (t + 1, -1), (n2 - t + 1, 1)))
+    b = -gammaln(u + 1) - gammaln(n1 - u + 1) - gammaln(t - u + 1) - gammaln(n2 - t + u + 1)
     return b - b[s1 - lo], (u - s1).astype(float)
 
 

@@ -2,8 +2,10 @@
 
 Bounds are in units of the float64 spacing at max(1, |value|).  From x = 13
 gammaln's array path is cephes' own series, so it differs from scipy only by
-numpy's log (2 ulps seen); below 13 and for scalars math.lgamma stands
-against cephes' rational fit, two approximations (9 ulps seen near x = 4)."""
+numpy's log (2 ulps seen); for scalars and for non-integers below 13
+math.lgamma stands against cephes' rational fit, two approximations (9 ulps
+seen near x = 4).  betaln takes arrays of up to 32 pairs one by one, so its
+array tests also run on tiled copies."""
 
 import math
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from robbins import _special
+from robbins import _special, normal, two_bernoulli
 
 ULPS = 8
 
@@ -23,8 +25,10 @@ def assert_close(got, want, ulps=ULPS):
 
 
 def both_paths(fn, *args):
-    """fn on the arrays, and element by element on Python floats."""
-    return fn(*args), [fn(*xs) for xs in zip(*(a.tolist() for a in args))]
+    """fn on the arrays tiled past the element-by-element route (first copy),
+    on the arrays, and element by element on Python floats."""
+    tiled = fn(*(np.tile(a, 70) for a in args))[:args[0].size]
+    return tiled, fn(*args), [fn(*xs) for xs in zip(*(a.tolist() for a in args))]
 
 
 @pytest.mark.parametrize("x", [np.linspace(1e-6, 16.0, 20_001),
@@ -39,14 +43,21 @@ def test_gammaln_matches_scipy(x):
 
 
 def test_gammaln_integer_table_equals_the_series():
-    # the table must not change a bit against the general path (the same
-    # integers as floats, with one non-integer to force that path)
-    k = np.arange(1.0, 9000.0)
-    general = _special.gammaln(np.append(k, 0.5))[:-1]
-    assert np.array_equal(_special.gammaln(k), general)
-    assert np.array_equal(_special.gammaln(k.astype(int)), general)
-    assert np.array_equal(_special.gammaln(k[:4000].reshape(40, 100)),
-                          general[:4000].reshape(40, 100))
+    # integers below 8192 read a table: it must not change a bit against the
+    # series (the same integers as floats, with one non-integer to force it)
+    k = np.arange(0.0, 9000.0)
+    series = _special.gammaln(np.append(k, 0.5))[:-1]
+    assert np.array_equal(_special.gammaln(k), series)
+    assert np.array_equal(_special.gammaln(k.astype(int)), series)
+    assert np.array_equal(_special.gammaln(k[:4000].reshape(40, 100)), series[:4000].reshape(40, 100))
+    assert np.array_equal([_special.gammaln(v) for v in range(13)], series[:13])   # exact below 13
+
+
+def test_gammaln_is_infinite_at_poles_and_infinity():
+    for x in ([0.0, -1.0, -7.0, np.inf], [0.0, 3.0], [np.inf, 0.5]):   # series, table, series
+        x = np.array(x)
+        assert np.array_equal(_special.gammaln(x) == np.inf, sp.gammaln(x) == np.inf)
+    assert all(_special.gammaln(v) == math.inf for v in (0.0, -1.0, -7, math.inf))
 
 
 def _betaln_scale(a, b):
@@ -66,9 +77,8 @@ def _betaln_scale(a, b):
 def test_betaln_matches_scipy_in_each_regime(regime, a, b):
     a, b = np.array(a), np.array(b)
     want = sp.betaln(a, b)
-    array, scalars = both_paths(_special.betaln, a, b)
     tol = ULPS * np.finfo(float).eps * np.maximum(1.0, _betaln_scale(a, b))
-    for got in (array, scalars, _special.betaln(b, a)):
+    for got in (*both_paths(_special.betaln, a, b), _special.betaln(b, a)):
         assert np.all(np.abs(np.asarray(got) - want) <= tol), regime
 
 
@@ -86,7 +96,8 @@ def test_betaln_keeps_the_bits_of_exact_ties():
     # Beta(5, 5)); the crossing checks and level-set bands compare such ties
     for a, b in ((1.0, 2.0), (1.0, 4.0), (5.0, 6.0), (5.0, 5.0)):
         assert _special.betaln(a, b) == sp.betaln(a, b)
-        assert _special.betaln(np.array([a]), np.array([b]))[0] == sp.betaln(a, b)
+        for size in (1, 100):   # element by element, and the Gamma table
+            assert np.all(_special.betaln(np.full(size, a), np.full(size, b)) == sp.betaln(a, b))
     assert (_special.betaln(5.0, 6.0) - _special.betaln(5.0, 5.0)
             == sp.betaln(5.0, 6.0) - sp.betaln(5.0, 5.0))
 
@@ -97,7 +108,8 @@ def test_xlogy_is_zero_at_x_zero_unless_y_is_nan():
             np.testing.assert_array_equal(got, sp.xlogy(0, y))
     k = np.arange(0.0, 10_001.0)
     assert_close(_special.xlogy(k, k), sp.xlogy(k, k))
-    assert _special.xlogy(3, 0.0) == -math.inf
+    for x, y in ((3, 0.0), (-3, 0.0), (3, -1.0), (3, math.nan), (2.5, math.inf)):
+        np.testing.assert_array_equal(_special.xlogy(x, y), sp.xlogy(x, y))
 
 
 def test_expit_saturates_like_scipy():
@@ -112,10 +124,22 @@ def test_expit_saturates_like_scipy():
 def test_chdtri_one_degree_of_freedom_matches_scipy(q):
     # AS241 against cephes: a few ulps; q = 1 - 1e-300 is 1.0, a quantile of 0
     assert _special.chdtri(1, q) == pytest.approx(sp.chdtri(1, q), rel=4e-15, abs=0.0)
-    with pytest.raises(ValueError):
-        _special.chdtri(2, q)
+    assert math.isnan(_special.chdtri(2, q))
 
 
 def test_ndtri_matches_scipy():
     p = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 4001), [1e-300, 0.5]])
     assert_close([_special.ndtri(v) for v in p.tolist()], sp.ndtri(p))
+    for v in (0.0, 1.0, -0.5, 1.5, math.nan):
+        np.testing.assert_array_equal(_special.ndtri(v), sp.ndtri(v))
+
+
+def test_comparators_at_the_last_confidence_below_one():
+    # 0.5 (1 + conf) rounds to 1: the quantile is inf, as with scipy, and the
+    # interval refuses its infinite endpoints
+    conf = 1 - 2 ** -53
+    assert 0.5 * (1.0 + conf) == 1.0
+    with pytest.raises(ValueError, match="finite"):
+        normal.classical_interval(normal.NormalSuffStat(100, 0.0), 1.0, conf)
+    with pytest.raises(ValueError, match="finite"):
+        two_bernoulli.wald_interval(two_bernoulli.TwoSampleStat(50, 50, 20, 30), conf)
