@@ -19,8 +19,8 @@ from math import asin, log, pi, sqrt
 import numpy as np
 
 from ._special import betaln, chdtri, expit, gammaln, xlogy
-from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel
-from .engine import ConcaveLogLikelihood, EndpointSolveError, LogRatioPath
+from .core import BetaWeight, Interval, NormalWeight, PersistenceLevel, _require_integers
+from .engine import ConcaveLogLikelihood, EndpointSolveError, LogRatioPath, closed_form_half_width
 
 __all__ = [
     "BernoulliSuffStat",
@@ -44,6 +44,7 @@ class BernoulliSuffStat:
     s: int
 
     def __post_init__(self):
+        _require_integers(n=self.n, s=self.s)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not (0 <= self.s <= self.n):
@@ -73,9 +74,21 @@ def binomial_loglik(stat: BernoulliSuffStat) -> ConcaveLogLikelihood:
 
 def beta_binomial_log_pmf(stat: BernoulliSuffStat, weight: BetaWeight) -> float:
     """Exact log q_n(s): log C(n,s) + log B(s+alpha, n-s+beta) - log B(alpha, beta)."""
-    n, s = stat.n, stat.s
-    a, b = weight.alpha, weight.beta
-    return float(_log_binom_coeff(n, s) + betaln(s + a, n - s + b) - betaln(a, b))
+    return float(_log_binom_coeff(stat.n, stat.s) + _log_mixture_ratio(stat.s, stat.n, weight))
+
+
+def _log_mixture_ratio(s, n, weight: BetaWeight):
+    """log q_n(s) - log C(n, s) = log B(s+alpha, n-s+beta) - log B(alpha, beta), array-valued."""
+    return betaln(s + weight.alpha, n - s + weight.beta) - betaln(weight.alpha, weight.beta)
+
+
+def _level_set_drop(weight, level, s=None, n=None):
+    """binomial_level_set drop at counts s of n, array-valued: l_max - log eps - log q_n(s)
+    + log C(n, s) (a BetaWeight, level eps), or chi2_{1, conf}/2 (weight None, level conf)."""
+    if weight is None:
+        return 0.5 * chdtri(1, 1.0 - level)
+    lmax = xlogy(s, s / n) + xlogy(n - s, 1.0 - s / n)
+    return lmax - (math.log(level) + _log_mixture_ratio(s, n, weight))
 
 
 _NEWTON_STEPS = 6         # converged to rounding in <= 4 steps for drops up to 700
@@ -146,10 +159,8 @@ def robbins_interval_bernoulli(stat: BernoulliSuffStat, weight: BetaWeight,
     """Exact mixture sequence: level set of the binomial log-likelihood at
     log eps + log q_n.  Boundary data (s = 0 or s = n) gives a one-sided region
     clipped at 0 or 1."""
-    n, s, a, b = stat.n, stat.s, weight.alpha, weight.beta
-    lmax = xlogy(s, stat.mle) + xlogy(n - s, 1.0 - stat.mle)
-    drop = lmax - (level.log_epsilon + float(betaln(s + a, n - s + b) - betaln(a, b)))
-    return Interval(*map(float, binomial_level_set(s, n, drop)))
+    drop = _level_set_drop(weight, level.epsilon, stat.s, stat.n)
+    return Interval(*map(float, binomial_level_set(stat.s, stat.n, drop)))
 
 
 def lr_interval(stat: BernoulliSuffStat, conf: float) -> Interval:
@@ -157,8 +168,7 @@ def lr_interval(stat: BernoulliSuffStat, conf: float) -> Interval:
     a drop of chi2_{1, conf} / 2 below the maximised log-likelihood."""
     if not (0.0 < conf < 1.0):
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
-    drop = 0.5 * float(chdtri(1, 1.0 - conf))
-    return Interval(*map(float, binomial_level_set(stat.s, stat.n, drop)))
+    return Interval(*map(float, binomial_level_set(stat.s, stat.n, _level_set_drop(None, conf))))
 
 
 def omega_weight_from_beta(weight: BetaWeight) -> NormalWeight:
@@ -187,13 +197,16 @@ def arcsine_approx_interval(stat: BernoulliSuffStat, weight_on_omega: NormalWeig
     omega_hat = arcsin(sqrt(s/n)) is approximately N(omega(theta), 1/(4n)); the
     closed-form half-width applies with variance proxy 1/4, and the omega
     interval is clipped to [0, pi/2] before the back-transform sin^2."""
-    from .engine import closed_form_half_width
-
     omega_hat = asin(sqrt(stat.mle))
     d = closed_form_half_width(0.25, stat.n, omega_hat, weight_on_omega, level)
-    lo = max(omega_hat - d, 0.0)
-    hi = min(omega_hat + d, 0.5 * pi)
-    return Interval(math.sin(lo) ** 2, math.sin(hi) ** 2)
+    return Interval(*_arcsine_back_map(omega_hat - d, omega_hat + d))
+
+
+def _arcsine_back_map(lower, upper):
+    """theta = sin^2(omega) at omega endpoints clipped to [0, pi/2]; math for floats."""
+    if isinstance(lower, float):
+        return math.sin(max(lower, 0.0)) ** 2, math.sin(min(upper, 0.5 * pi)) ** 2
+    return np.sin(np.maximum(lower, 0.0)) ** 2, np.sin(np.minimum(upper, 0.5 * pi)) ** 2
 
 
 def ville_log_ratio_path(theta: float, weight: BetaWeight) -> LogRatioPath:
@@ -201,15 +214,11 @@ def ville_log_ratio_path(theta: float, weight: BetaWeight) -> LogRatioPath:
     the true proportion theta; the binomial coefficient cancels in q_n / p_n."""
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    a, b = weight.alpha, weight.beta
-    lb0 = betaln(a, b)
     log_t, log_1mt = log(theta), math.log1p(-theta)
 
     def path(rng: np.random.Generator, n_max: int) -> np.ndarray:
         s = np.cumsum(rng.random(n_max) < theta)
         ns = np.arange(1, n_max + 1)
-        log_q = betaln(s + a, ns - s + b) - lb0
-        log_p = s * log_t + (ns - s) * log_1mt
-        return log_q - log_p
+        return _log_mixture_ratio(s, ns, weight) - (s * log_t + (ns - s) * log_1mt)
 
     return LogRatioPath(path, "bernoulli", theta, weight)

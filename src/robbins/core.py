@@ -10,6 +10,7 @@ of upper endpoints.  The monitor tracks both extrema online.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -123,6 +124,13 @@ class LogOddsJeffreysInduced:
 
 
 WeightSpec = Union[NormalWeight, BetaWeight, NormalInverseGamma, LogOddsJeffreysInduced]
+
+
+def _require_integers(**values) -> None:
+    """Counts, sizes and seeds are integers, not bools (a float seed would be truncated)."""
+    for name, x in values.items():     # an int skips the slow abstract-class check
+        if type(x) is not int and (not isinstance(x, numbers.Integral) or isinstance(x, bool)):
+            raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 @dataclass

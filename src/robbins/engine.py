@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .core import Interval, NormalWeight, PersistenceLevel
+from .core import Interval, NormalWeight, PersistenceLevel, _require_integers
 
 __all__ = [
     "ConcaveLogLikelihood",
@@ -183,12 +183,25 @@ def closed_form_half_width(variance_proxy: float, n: int, estimate: float,
     """
     if not variance_proxy > 0:
         raise ValueError(f"variance_proxy must be positive, got {variance_proxy}")
+    if type(n) is not int:      # ints skip the call: every closed-form interval passes here
+        _require_integers(n=n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    v = variance_proxy / n
+    return _half_width(variance_proxy / n, estimate, weight, -2.0 * level.log_epsilon)
+
+
+def _half_width(v, estimate, weight: NormalWeight, c):
+    """sqrt(v (log(tv/v) + (estimate - mu0)^2/tv + c)), tv = tau0_sq + v, c = -2 log eps; math
+    for a float v, else numpy in place, in the order that fixes the simulation kernels' bits."""
+    scalar = isinstance(v, float)
     tv = weight.tau0_sq + v
-    arg = math.log(tv / v) + (estimate - weight.mu0) ** 2 / tv - 2.0 * level.log_epsilon
-    return math.sqrt(v) * math.sqrt(arg)
+    d = estimate - weight.mu0
+    d *= d
+    d /= tv
+    d += math.log(tv / v) if scalar else np.log(tv / v)
+    d += c
+    d *= v
+    return math.sqrt(d) if scalar else np.sqrt(d, out=d)
 
 
 def laplace_log_mixture(loglik: ConcaveLogLikelihood, weight_density_at_mle: float,
@@ -310,8 +323,8 @@ class LogRatioPath:
 
 @dataclass(frozen=True)
 class VilleCheckResult:
-    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound; where
-    q_n / p_n can equal k exactly, float rounding decides (verify_ville_inequality)."""
+    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound; where q_n / p_n
+    is within rounding of k, even above it, float rounding decides (verify_ville_inequality)."""
 
     estimate: float
     bound: float
@@ -355,9 +368,11 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     on one thread (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
     float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
     holds one O(n_max) path at a time.  Under the CLI's Bernoulli defaults (theta 1/2, Beta(1, 1))
-    q_n/p_n = k exactly at k = 4/3, 2, 16: float rounding of log B decides, and these take the loop.
+    q_n/p_n = k at k = 2, 16 (s = 0 or n at n = 3, 7), where float rounding of log B decides
+    (counted at 16, not 2); q_2/p_2 = 4/3 exceeds the float 4/3, yet its float log-ratio rounds
+    below log k and is missed.  These three take the loop.
     """
-    from .simulation import _KERNELS, _require_integers, replication_rng
+    from .simulation import _KERNELS, replication_rng
     if not 1.0 < k < math.inf:
         raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)

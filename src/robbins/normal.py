@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from ._special import ndtri
-from .core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel
+from .core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel, _require_integers
 from .engine import ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, closed_form_half_width
 
 __all__ = [
@@ -46,6 +46,7 @@ class NormalSuffStat:
     sigma_hat_sq: Optional[float] = None
 
     def __post_init__(self):
+        _require_integers(n=self.n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.sigma_hat_sq is not None and self.sigma_hat_sq < 0:
@@ -66,14 +67,12 @@ def known_var_loglik(stat: NormalSuffStat, sigma0_sq: float) -> ConcaveLogLikeli
     """Log-likelihood of the sample mean, ybar_n ~ N(theta, sigma0^2 / n)."""
     if not sigma0_sq > 0:
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    n, ybar = stat.n, stat.ybar
-    const = 0.5 * log(n / (2.0 * pi * sigma0_sq))
-    scale = n / (2.0 * sigma0_sq)
+    ybar, v = stat.ybar, sigma0_sq / stat.n
 
     def fn(theta):
-        return const - scale * (ybar - theta) ** 2
+        return _log_density(ybar, theta, v)
 
-    return ConcaveLogLikelihood(fn=fn, mle=ybar, mle_loglik=const)
+    return ConcaveLogLikelihood(fn=fn, mle=ybar, mle_loglik=fn(ybar))
 
 
 def exact_log_mixture(stat: NormalSuffStat, sigma0_sq: float,
@@ -81,9 +80,13 @@ def exact_log_mixture(stat: NormalSuffStat, sigma0_sq: float,
     """Exact log q_n: the sample mean marginally follows N(mu0, tau0^2 + sigma0^2/n)."""
     if not sigma0_sq > 0:
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    v = weight.tau0_sq + sigma0_sq / stat.n
-    value = -0.5 * log(2.0 * pi * v) - (stat.ybar - weight.mu0) ** 2 / (2.0 * v)
-    return MixtureLogDensity(value, method="exact")
+    return MixtureLogDensity(_log_density(stat.ybar, weight.mu0, weight.tau0_sq + sigma0_sq / stat.n))
+
+
+def _log_density(x, mean, var):
+    """N(mean, var) log density -log(2 pi var)/2 - (x - mean)^2 / (2 var); math for a float var."""
+    ln = log if isinstance(var, float) else np.log
+    return -0.5 * ln(2.0 * pi * var) - (x - mean) ** 2 / (2.0 * var)
 
 
 def robbins_interval_known_var(stat: NormalSuffStat, sigma0_sq: float,
@@ -188,10 +191,7 @@ def ville_log_ratio_path(theta: float, sigma0_sq: float, weight: NormalWeight) -
         y = theta + sqrt(sigma0_sq) * rng.standard_normal(n_max)
         ns = np.arange(1, n_max + 1, dtype=float)
         ybar = np.cumsum(y) / ns
-        v_mix = weight.tau0_sq + sigma0_sq / ns
-        v_lik = sigma0_sq / ns
-        log_q = -0.5 * np.log(2.0 * pi * v_mix) - (ybar - weight.mu0) ** 2 / (2.0 * v_mix)
-        log_p = -0.5 * np.log(2.0 * pi * v_lik) - (ybar - theta) ** 2 / (2.0 * v_lik)
-        return log_q - log_p
+        return (_log_density(ybar, weight.mu0, weight.tau0_sq + sigma0_sq / ns)
+                - _log_density(ybar, theta, sigma0_sq / ns))
 
     return LogRatioPath(path, "normal", theta, weight, sigma0_sq)

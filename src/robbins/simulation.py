@@ -26,13 +26,14 @@ Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
 Consecutive plans sharing their data streams run through one kernel call, which
 takes the plans themselves, so a cell equals its plan run alone by run_plan.
 
-The closed-form rules (fixed-level z / Wald, exact normal, arcsine, corrected
-log-odds) share one vectorised half-width, pinned to the scalar library rules by
-the test suite.  The level-set rules (exact Bernoulli mixture, likelihood ratio)
-cover theta at n for one band of counts, bisected once per call and plan on the
-log-ratio at theta (_bands; binomial_level_set decides a probe within rounding of
-the threshold); a chunk is flagged by integer compares against the bands, and
-endpoints are solved only where a contradiction depends on them (_level_set_flags).
+The kernels call the scalar rules' own formulas, array-valued in the model modules:
+the mixture half-width (engine), corrected log-odds (two_bernoulli), arcsine back-map
+and level-set drop (bernoulli); only the fixed-level z sqrt(v) is written here.  The
+level-set rules (exact Bernoulli mixture, likelihood ratio) cover theta at n for one
+band of counts, bisected once per call and plan on the log-ratio at theta (_bands;
+binomial_level_set decides a probe within rounding of the threshold); a chunk is
+flagged by integer compares against the bands, and endpoints are solved only where
+a contradiction depends on them (_level_set_flags).
 
 Closed-form plans of one kernel call sharing a weight (or having none) form a
 chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
@@ -59,9 +60,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from ._special import betaln, chdtri, gammaln, ndtri, xlogy
-from .bernoulli import EndpointSolveError, binomial_level_set
-from .core import BetaWeight, NormalWeight, WeightSpec
+from ._special import betaln, gammaln, ndtri, xlogy
+from .bernoulli import EndpointSolveError, _arcsine_back_map, _level_set_drop, binomial_level_set
+from .core import BetaWeight, NormalWeight, WeightSpec, _require_integers
+from .engine import _half_width
+from .two_bernoulli import _corrected_log_odds
 from . import reference
 
 __all__ = [
@@ -173,13 +176,6 @@ class SequencePlan:
             raise ValueError(f"rule {self.rule.value} on model {self.model.value} takes "
                              f"{need}, got {type(self.weight).__name__}")
         _check_truth(self.model, self.truth)
-
-
-def _require_integers(**values) -> None:
-    """Sizes and seeds are integers, not bools (a float seed would be truncated)."""
-    for name, x in values.items():
-        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
-            raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
 def _check_truth(model, truth) -> None:
@@ -310,8 +306,7 @@ def _flag_scan(chains, m, ncols, tile_ends, truth, bounds=None) -> np.ndarray:
 def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarray:
     """Flag counts per plan (see _flag_scan) of est +/- d, est_v(j0, j1, rows) giving
     the estimates and variances of the rows on one tile: d = c sqrt(v) for a
-    fixed-level rule, c = ndtri((1 + conf)/2), else the mixture half-width
-    sqrt(v (log(tv/v) + (est - mu0)^2/tv + c)), tv = tau0_sq + v, c = -2 log eps.
+    fixed-level rule, c = ndtri((1 + conf)/2), else engine._half_width at c = -2 log eps.
     Plans sharing a weight form one chain, ordered by c.  bounds maps the reduced
     endpoints to the parameter scale."""
     c = [float(ndtri(0.5 * (1.0 + p.level))) if p.weight is None else -2.0 * math.log(p.level)
@@ -325,27 +320,14 @@ def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarra
         for k, rows in active:
             if rows is not last:        # round 0: one estimate per tile for every chain
                 (est, v), last = est_v(j0, j1, rows), rows
-            w = plans[k].weight
-            if w is None:
+            if (w := plans[k].weight) is None:
                 d = c[k] * np.sqrt(v)
                 yield est - d, est + d
                 continue
-            tv = w.tau0_sq + v
-            d = np.square(est - w.mu0)      # then in place: the same operations, the same bits
-            d /= tv
-            d += np.log(tv / v)
-            d += c[k]
-            d *= v
-            np.sqrt(d, out=d)
+            d = _half_width(v, est, w, c[k])
             yield est - d, np.add(d, est, out=d)
 
     return _flag_scan(list(chains.values()), m, ncols, tile_ends, truth, bounds)
-
-
-def _sin2_bounds(maxlo, minup):
-    """theta = sin^2(omega) of the reduced endpoints, omega clipped to [0, pi/2]."""
-    return (np.square(np.sin(np.maximum(maxlo, 0.0))),
-            np.square(np.sin(np.minimum(minup, 0.5 * math.pi))))
 
 
 def _normal_counts(plans, threads):
@@ -388,14 +370,8 @@ def _two_bernoulli_counts(plans, threads):
             s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
             s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
         for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
-            cols = slice(j0, j0 + TILE_COLS)
-            t1, t2, n = s1[:, cols], s2[:, cols], ns[cols]
-            a = t1 + 0.5
-            b = (n - t1) + 0.5
-            c = t2 + 0.5
-            d4 = (n - t2) + 0.5
-            t1[...] = np.log((a * d4) / (b * c))
-            t2[...] = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d4
+            t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
+            t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
         return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
             s1[rows, j0:j1], s2[rows, j0:j1]), psi_true)
 
@@ -414,17 +390,6 @@ def _two_bernoulli_counts(plans, threads):
 _LOG_RATIO_MARGIN = 1e-12
 
 
-def _drop(plan, s, n):
-    """binomial_level_set drop of a level-set plan at counts s of n."""
-    w = plan.weight
-    if w is None:       # likelihood ratio
-        return 0.5 * float(chdtri(1, 1.0 - plan.level))
-    that = s / n
-    lmax = xlogy(s, that) + xlogy(n - s, 1.0 - that)
-    log_q = betaln(s + w.alpha, n - s + w.beta) - float(betaln(w.alpha, w.beta))
-    return lmax - (math.log(plan.level) + log_q)
-
-
 def _log_ratio_tables(plan, ns):
     """(A, B, C + c, margin) per run: v is covered at (n, s) = (ns[j], s) iff
     stat(v; s) = A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with
@@ -436,7 +401,7 @@ def _log_ratio_tables(plan, ns):
     A, B, C = (xlogx, xlogx, xlogx[ns]) if w is None else (
         gammaln(k + w.alpha), gammaln(k + w.beta),
         gammaln(ns + (w.alpha + w.beta)) + float(betaln(w.alpha, w.beta)))
-    c = _drop(plan, None, None) if w is None else -math.log(plan.level)
+    c = _level_set_drop(None, plan.level) if w is None else -math.log(plan.level)
     return A, B, C + c, _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
 
 
@@ -473,7 +438,8 @@ def _bands(plan, ns, theta, tables):
         covered, high = ex < 0, s > n * theta
         past = np.where(side[e] == 0, covered | high, ~covered & high)
         if (near := np.flatnonzero(np.abs(ex) <= margin[j[e]])).size:
-            lower, upper = binomial_level_set(s[near], n[near], _drop(plan, s[near], n[near]))
+            lower, upper = binomial_level_set(
+                s[near], n[near], _level_set_drop(plan.weight, plan.level, s[near], n[near]))
             past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
         hi[e[past]], lo[e[~past]] = s[past], s[~past]
     a, b = hi.reshape(2, ns.size)
@@ -499,11 +465,13 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
     first = np.searchsorted(r, range(rows.size))      # each row's first violating look
     top = np.flatnonzero(dev == np.maximum.reduceat(dev, first)[r])
     pick = top[np.searchsorted(r[top], range(rows.size))]
-    lower, upper = binomial_level_set(s[pick], n[pick], _drop(plan, s[pick], n[pick]))
+    lower, upper = binomial_level_set(
+        s[pick], n[pick], _level_set_drop(plan.weight, plan.level, s[pick], n[pick]))
     v = np.where(side, upper, lower)
     excess = _excess(tables, ns, v)
     cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
-    lower, upper = binomial_level_set(s[cand], n[cand], _drop(plan, s[cand], n[cand]))
+    lower, upper = binomial_level_set(
+        s[cand], n[cand], _level_set_drop(plan.weight, plan.level, s[cand], n[cand]))
     up = side[r[cand]]
     np.minimum.at(v, r[cand][up], upper[up])
     np.maximum.at(v, r[cand][~up], lower[~up])
@@ -518,7 +486,7 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
         hit[live[rr[over]]] = True
         near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
     i, s, j = (np.concatenate(x) for x in zip(*near))
-    lower, upper = binomial_level_set(s, ns[j], _drop(plan, s, ns[j]))
+    lower, upper = binomial_level_set(s, ns[j], _level_set_drop(plan.weight, plan.level, s, ns[j]))
     hit[i[np.where(side[i], lower > v[i], upper < v[i])]] = True
     return (np.count_nonzero(below & above) + np.count_nonzero(hit),
             np.count_nonzero(below | above))
@@ -548,7 +516,7 @@ def _bernoulli_counts(plans, threads):
             counts[arc] = _closed_form_counts(
                 arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
                     np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
-                theta, _sin2_bounds)
+                theta, _arcsine_back_map)
         for k, pl, (a, b), tab in zip(np.flatnonzero(~arc), set_plans, bands, tables):
             counts[k] = _level_set_flags(pl, sc, ns, a, b, tab)
         return counts

@@ -21,9 +21,9 @@ from math import log, sqrt
 import numpy as np
 
 from ._special import gammaln, ndtri
-from .core import Interval, NormalWeight, PersistenceLevel
-from .engine import (ConcaveLogLikelihood, EndpointSolveError, closed_form_half_width,
-                     concave_level_set, trapezoid_log_mixture)
+from .core import Interval, NormalWeight, PersistenceLevel, _require_integers
+from .engine import (ConcaveLogLikelihood, EndpointSolveError, _half_width, concave_level_set,
+                     trapezoid_log_mixture)
 
 __all__ = [
     "TwoSampleStat",
@@ -69,6 +69,7 @@ class TwoSampleStat:
     s2: int
 
     def __post_init__(self):
+        _require_integers(n1=self.n1, n2=self.n2, s1=self.s1, s2=self.s2)
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"sample sizes must be >= 1, got n1={self.n1}, n2={self.n2}")
         if not (0 <= self.s1 <= self.n1):
@@ -259,23 +260,22 @@ def continuity_corrected_estimates(stat: TwoSampleStat) -> tuple:
 
     Finite for every valid table, boundaries included.
     """
-    a = stat.s1 + 0.5
-    b = stat.n1 - stat.s1 + 0.5
-    c = stat.s2 + 0.5
-    d = stat.n2 - stat.s2 + 0.5
-    psi_hat = log(a * d / (b * c))
-    v_n = 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
-    return psi_hat, v_n
+    return _corrected_log_odds(stat.n1, stat.n2, stat.s1, stat.s2)
+
+
+def _corrected_log_odds(n1, n2, s1, s2) -> tuple:
+    """(psi_hat, v_n) of continuity_corrected_estimates; math for Python counts."""
+    a, b, c, d = s1 + 0.5, n1 - s1 + 0.5, s2 + 0.5, n2 - s2 + 0.5
+    ln = log if isinstance(a, float) else np.log
+    return ln(a * d / (b * c)), 1.0 / a + 1.0 / b + 1.0 / c + 1.0 / d
 
 
 def approx_interval_log_odds(stat: TwoSampleStat, weight: NormalWeight,
                              level: PersistenceLevel) -> Interval:
     """Closed-form sequence psi_hat +/- d(v_n) from the continuity-corrected
-    estimates; the generic half-width applies with variance proxy
-    (n1+n2) * v_n at sample size n1+n2 (the per-n factors cancel to v_n)."""
+    estimates: the normal-mixture half-width at variance v_n."""
     psi_hat, v_n = continuity_corrected_estimates(stat)
-    n = stat.n1 + stat.n2
-    d = closed_form_half_width(n * v_n, n, psi_hat, weight, level)
+    d = _half_width(v_n, psi_hat, weight, -2.0 * level.log_epsilon)
     return Interval(psi_hat - d, psi_hat + d)
 
 

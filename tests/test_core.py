@@ -1,10 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from robbins import engine
+from robbins.bernoulli import BernoulliSuffStat
 from robbins.core import (BetaWeight, Interval, NormalInverseGamma, NormalWeight,
                           PersistenceLevel, SequenceMonitor)
+from robbins.normal import NormalSuffStat
+from robbins.two_bernoulli import TwoSampleStat
 
 
 class TestInterval:
@@ -130,3 +135,37 @@ def test_contradiction_implies_noncoverage(seq, truth):
     mon = _final_state(seq, truth)
     if mon.contradicted:
         assert mon.noncovered          # an empty intersection must exclude the truth
+
+
+
+def _half_width_at(n):
+    return engine.closed_form_half_width(1.0, n, 0.0, NormalWeight(0.0, 1.0), PersistenceLevel(0.2))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BernoulliSuffStat(10, 3.5),
+    lambda: BernoulliSuffStat(10.0, 3),
+    lambda: BernoulliSuffStat(1, True),
+    lambda: NormalSuffStat(2.5, 0.1),
+    lambda: NormalSuffStat(True, 0.1),
+    lambda: TwoSampleStat(10, 10, 3.5, 5),
+    lambda: TwoSampleStat(10, 10.0, 3, 5),
+    lambda: TwoSampleStat(10, 10, 3, True),
+    lambda: _half_width_at(100.5),
+    lambda: _half_width_at(True),
+], ids=["bernoulli-float-s", "bernoulli-float-n", "bernoulli-bool-s", "normal-float-n",
+        "normal-bool-n", "two-sample-float-s1", "two-sample-float-n2", "two-sample-bool-s2",
+        "half-width-float-n", "half-width-bool-n"])
+def test_non_integer_counts_raise(make):
+    # float and bool counts once gave intervals silently (a float s1 an IndexError)
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
+@pytest.mark.parametrize("int_type", [np.int64, np.int32, np.uint16])
+def test_numpy_integer_counts_accepted(int_type):
+    n, s = int_type(10), int_type(3)
+    assert BernoulliSuffStat(n, s).mle == 0.3
+    assert NormalSuffStat(n, 0.1).n == 10
+    assert TwoSampleStat(n, n, s, s).t == 6
+    assert _half_width_at(int_type(100)) == _half_width_at(100)
