@@ -6,7 +6,8 @@ Weight functions use one flat syntax, family:p1,p2[,p3,p4]:
     normal:mu0,tau0sq | beta:alpha,beta | nig:mu0,kappa0,alpha0,beta0 | logodds
 
 Defaults: epsilon 0.2, reps 10000, seed 42 (overridable via ROBBINS_SEED),
-threads = available cores.  All defaults are echoed in the output metadata.
+--threads = available cores, counted in worker processes (forked where the platform
+allows; results do not depend on it).  All defaults are echoed in the output metadata.
 Exit codes: 0 success, 1 numerical/runtime failure, 2 argument validation.
 A JSON --config file may supply any long option (keys are option names with
 dashes as underscores); explicit flags win over the file.
@@ -15,6 +16,7 @@ dashes as underscores); explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ from .simulation import Model, Rule, SequencePlan, compare_to_reference, reprodu
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_REPS = 10_000
+_THREADS_HELP = "worker processes (default: available cores); results do not depend on it"
 
 
 class CliError(Exception):
@@ -79,6 +82,14 @@ def _require(args, names, context):
             raise CliError(f"{context} requires {name}")
 
 
+def _stat(cls, *values):
+    """The sufficient statistic of the given options; invalid values are a usage error."""
+    try:
+        return cls(*values)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _level(args) -> PersistenceLevel:
     eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
     try:
@@ -105,14 +116,14 @@ def _interval_normal(args):
     meta = {}
     if rule == "classical":
         _require(args, ["--sigma2"], "rule classical")
-        stat = normal.NormalSuffStat(args.n, args.ybar)
+        stat = _stat(normal.NormalSuffStat, args.n, args.ybar)
         iv = normal.classical_interval(stat, args.sigma2, _conf(args))
         meta["conf"] = _conf(args)
     elif rule == "exact":
         _require(args, ["--sigma2", "--weight"], "rule exact")
         w = _expect_weight(args, NormalWeight)
         level = _level(args)
-        stat = normal.NormalSuffStat(args.n, args.ybar)
+        stat = _stat(normal.NormalSuffStat, args.n, args.ybar)
         iv = normal.robbins_interval_known_var(stat, args.sigma2, w, level)
         meta["epsilon"] = level.epsilon
         meta["threshold"] = level.log_epsilon + normal.exact_log_mixture(
@@ -121,7 +132,7 @@ def _interval_normal(args):
         _require(args, ["--sigma2hat", "--weight"], "rule nig")
         w = _expect_weight(args, NormalInverseGamma)
         level = _level(args)
-        stat = normal.NormalSuffStat(args.n, args.ybar, args.sigma2hat)
+        stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
         iv = normal.nig_profile_interval(stat, w, level)
         meta["epsilon"] = level.epsilon
         meta["threshold"] = level.log_epsilon + normal.nig_log_marginal(stat, w)
@@ -129,7 +140,7 @@ def _interval_normal(args):
         _require(args, ["--sigma2hat", "--weight"], "rule approx")
         w = _expect_weight(args, NormalWeight)
         level = _level(args)
-        stat = normal.NormalSuffStat(args.n, args.ybar, args.sigma2hat)
+        stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
         iv = normal.approx_interval_unknown_var(stat, w, level)
         meta["epsilon"] = level.epsilon
     else:
@@ -140,7 +151,7 @@ def _interval_normal(args):
 
 def _interval_bernoulli(args):
     _require(args, ["--n", "--s"], "model bernoulli")
-    stat = bernoulli.BernoulliSuffStat(args.n, args.s)
+    stat = _stat(bernoulli.BernoulliSuffStat, args.n, args.s)
     rule = args.rule or "exact"
     meta = {}
     if rule == "exact":
@@ -172,7 +183,7 @@ def _interval_bernoulli(args):
 
 def _interval_two_bernoulli(args):
     _require(args, ["--n1", "--n2", "--s1", "--s2"], "model two-bernoulli")
-    stat = two_bernoulli.TwoSampleStat(args.n1, args.n2, args.s1, args.s2)
+    stat = _stat(two_bernoulli.TwoSampleStat, args.n1, args.n2, args.s1, args.s2)
     rule = args.rule or "exact"
     meta = {}
     if rule == "exact":
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, default=10)
     p.add_argument("--nmax", type=int, default=4000)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=_THREADS_HELP)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -439,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-table", help="re-run a bundled table grid")
     p.add_argument("--id", type=str, default=None, help="table id, 1..5")
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=_THREADS_HELP)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reproduce_table, format="csv")
@@ -496,9 +507,13 @@ def _inject_config(argv, cfg):
     raise CliError("--config requires a command")
 
 
+# one parser for every main call: --config is spliced into argv, the seed read per call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         argv = _inject_config(argv, _load_config(argv))
         args = parser.parse_args(argv)

@@ -365,21 +365,21 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     log(q_n / p_n(theta_true)) for n = 1..n_max.  Replication r always draws
     from the (seed, r) counter stream, so the estimate is independent of any
     parallel scheduling by the caller.  A LogRatioPath runs as a table-kernel cell
-    on one thread (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
+    in-process (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
     float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
     holds one O(n_max) path at a time.  Under the CLI's Bernoulli defaults (theta 1/2, Beta(1, 1))
     q_n/p_n = k at k = 2, 16 (s = 0 or n at n = 3, 7), where float rounding of log B decides
     (counted at 16, not 2); q_2/p_2 = 4/3 exceeds the float 4/3, yet its float log-ratio rounds
     below log k and is missed.  These three take the loop.
     """
-    from .simulation import _KERNELS, replication_rng
+    from .simulation import _kernel_counts, replication_rng
     if not 1.0 < k < math.inf:
         raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
     if (plan := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
-        crossings = int(_KERNELS[plan.model]([plan], 1)[0][1])
+        crossings = int(_kernel_counts([[plan]], 1)[0][0][1])
     else:
         log_k, crossings = math.log(k), 0
         for r in range(reps):

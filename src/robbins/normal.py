@@ -49,8 +49,10 @@ class NormalSuffStat:
         _require_integers(n=self.n)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sigma_hat_sq is not None and self.sigma_hat_sq < 0:
-            raise ValueError(f"sigma_hat_sq must be >= 0, got {self.sigma_hat_sq}")
+        if not math.isfinite(self.ybar):
+            raise ValueError(f"ybar must be finite, got {self.ybar}")
+        if self.sigma_hat_sq is not None and not 0 <= self.sigma_hat_sq < math.inf:
+            raise ValueError(f"sigma_hat_sq must be finite and >= 0, got {self.sigma_hat_sq}")
 
     @classmethod
     def from_data(cls, y) -> "NormalSuffStat":

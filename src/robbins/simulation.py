@@ -12,9 +12,10 @@ Determinism contract
 Replication r of a run with master seed s draws from the counter-based stream
 Philox(key=(s, r)); see replication_rng.  Work is partitioned into fixed-size
 chunks of replications whose integer tallies are summed in chunk order, so
-results are bit-identical for any worker count.  A chunk draws in row blocks of
-at most STREAM_CELLS cells with one Philox of its own, re-keyed to (s, r) at a
-fresh state per row, so each row is the replication_rng(s, r) stream.  Draw order:
+results are bit-identical for any count of worker processes (threads; see
+_map_chunks).  A chunk draws in row blocks of at most STREAM_CELLS cells with one
+Philox of its own, re-keyed to (s, r) at a fresh state per row, so each row is the
+replication_rng(s, r) stream.  Draw order:
 
 * normal model:        y = theta + sigma0 * rng.standard_normal(n_max)
 * bernoulli model:     successes are rng.random(n_max) < theta
@@ -23,7 +24,8 @@ fresh state per row, so each row is the replication_rng(s, r) stream.  Draw orde
                        n1 = n2 = n along the sequence)
 
 Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
-Consecutive plans sharing their data streams run through one kernel call, which
+Consecutive plans sharing their data streams form one kernel group: a serial
+set-up, then a module-level chunk step of (plans, set-up, r0, r1) per chunk, which
 takes the plans themselves, so a cell equals its plan run alone by run_plan.
 
 The kernels call the scalar rules' own formulas, array-valued in the model modules:
@@ -35,7 +37,7 @@ binomial_level_set decides a probe within rounding of the threshold); a chunk is
 flagged by integer compares against the bands, and endpoints are solved only where
 a contradiction depends on them (_level_set_flags).
 
-Closed-form plans of one kernel call sharing a weight (or having none) form a
+Closed-form plans of one kernel group sharing a weight (or having none) form a
 chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
 _flag_scan runs round k on the k-th plan of every chain, a later plan scanning
 only the replications its predecessor left noncovered.  No bit moves: rounding is
@@ -53,7 +55,7 @@ import itertools
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
@@ -249,16 +251,30 @@ def _fmt(x: float) -> str:
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _map_chunks(worker, total: int, threads: int) -> list:
-    """Apply worker(i0, i1) to the fixed slices [i0, i1) of range(total), CHUNK_REPS
-    items each; results returned in slice order (identical for any thread
-    count)."""
-    ranges = [(i0, min(i0 + CHUNK_REPS, total)) for i0 in range(0, total, CHUNK_REPS)]
-    if threads <= 1 or len(ranges) == 1:
-        return [worker(i0, i1) for i0, i1 in ranges]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(worker, i0, i1) for i0, i1 in ranges]
-        return [f.result() for f in futures]
+def _map_chunks(jobs, threads: int) -> list:
+    """Counts of each job (chunk, plans, prep): chunk(plans, prep, r0, r1) summed over
+    the fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice order,
+    so identical for any worker count.  threads=1 or a single chunk runs in-process;
+    else a pool of min(threads, chunks, cpu count) worker processes (forked where the
+    platform offers fork, else spawned) takes every job's chunks at once, and is shut
+    down before returning, also when a chunk raises."""
+    tasks = [(k, chunk, plans, prep, r0, min(r0 + CHUNK_REPS, plans[0].reps))
+             for k, (chunk, plans, prep) in enumerate(jobs)
+             for r0 in range(0, plans[0].reps, CHUNK_REPS)]
+    workers = min(threads, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        results = [chunk(*args) for _, chunk, *args in tasks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
+        pool = ProcessPoolExecutor(workers, mp_context=ctx)
+        try:
+            results = [f.result() for f in [pool.submit(*t[1:]) for t in tasks]]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [_tally([r for t, r in zip(tasks, results) if t[0] == k]) for k in range(len(jobs))]
 
 
 def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
@@ -330,52 +346,43 @@ def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarra
     return _flag_scan(list(chains.values()), m, ncols, tile_ends, truth, bounds)
 
 
-def _normal_counts(plans, threads):
-    """(contradictions, noncoverages) counts per plan; the plans share the
-    model, truth, range, reps, seed and sigma0_sq."""
-    p = plans[0]
-    theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
-    ns = np.arange(n_min, n_max + 1, dtype=float)
-    v = p.sigma0_sq / ns
-    sigma0 = math.sqrt(p.sigma0_sq)
-
-    def worker(r0, r1):
-        m = r1 - r0
-        total = np.empty((m, n_max))
-        for i, y in _streams(seed, r0, r1, "standard_normal", (n_max,)):
-            y *= sigma0
-            y += theta
-            np.cumsum(y, axis=1, out=total[i:i + len(y)])
-        est = total[:, n_min - 1:]
-        est /= ns
-        return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
-            est[rows, j0:j1], v[j0:j1]), theta)
-
-    return _tally(_map_chunks(worker, p.reps, threads))
+def _sizes(plans):
+    """The monitored sample sizes, set-up of the closed-form kernels; the plans share
+    the model, truth, range, reps, seed and sigma0_sq."""
+    return np.arange(plans[0].n_min, plans[0].n_max + 1, dtype=float)
 
 
-def _two_bernoulli_counts(plans, threads):
+def _normal_chunk(plans, ns, r0, r1):
+    """(contradictions, noncoverages) counts per plan on replications r0..r1-1."""
+    p, m = plans[0], r1 - r0
+    v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
+    total = np.empty((m, p.n_max))
+    for i, y in _streams(p.seed, r0, r1, "standard_normal", (p.n_max,)):
+        y *= sigma0
+        y += p.truth
+        np.cumsum(y, axis=1, out=total[i:i + len(y)])
+    est = total[:, p.n_min - 1:]
+    est /= ns
+    return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
+        est[rows, j0:j1], v[j0:j1]), p.truth)
+
+
+def _two_bernoulli_chunk(plans, ns, r0, r1):
     """Paired sampling, continuity-corrected estimates, truth is the log-odds
-    ratio; counts per plan as in _normal_counts."""
-    p = plans[0]
-    (theta1, theta2), n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
+    ratio; counts per plan as in _normal_chunk."""
+    p, m = plans[0], r1 - r0
+    (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
     psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
-    ns = np.arange(n_min, n_max + 1, dtype=float)
-
-    def worker(r0, r1):
-        m = r1 - r0
-        s1 = np.empty((m, ns.size))
-        s2 = np.empty_like(s1)
-        for i, u in _streams(seed, r0, r1, "random", (2, n_max)):
-            s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
-            s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
-        for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
-            t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
-            t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
-        return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
-            s1[rows, j0:j1], s2[rows, j0:j1]), psi_true)
-
-    return _tally(_map_chunks(worker, p.reps, threads))
+    s1 = np.empty((m, ns.size))
+    s2 = np.empty_like(s1)
+    for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
+        s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
+        s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
+    for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
+        t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
+        t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
+    return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
+        s1[rows, j0:j1], s2[rows, j0:j1]), psi_true)
 
 
 # ---------------------------------------------------------------------------
@@ -492,58 +499,67 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
             np.count_nonzero(below | above))
 
 
-def _bernoulli_counts(plans, threads):
+def _bernoulli_setup(plans):
+    """The monitored sizes, and per level-set plan its _log_ratio_tables and band."""
+    p = plans[0]
+    ns = np.arange(p.n_min, p.n_max + 1)
+    set_plans = [pl for pl in plans if pl.rule != Rule.ROBBINS_APPROX]
+    tables = [_log_ratio_tables(pl, ns) for pl in set_plans]
+    bands = [np.array(_bands(pl, ns, p.truth, tab), dtype=np.min_scalar_type(p.n_max))
+             for pl, tab in zip(set_plans, tables)]
+    return ns, tables, bands
+
+
+def _bernoulli_chunk(plans, prep, r0, r1):
     """Counts per plan for the exact, likelihood-ratio and arcsine rules, in one pass
     per chunk: generate its success counts, flag the arcsine plans by the
     closed-form scan and the level-set plans by _level_set_flags."""
-    p = plans[0]
-    theta, n_min, n_max, seed = p.truth, p.n_min, p.n_max, p.seed
-    ns = np.arange(n_min, n_max + 1)
-    count_type = np.min_scalar_type(n_max)
+    (ns, tables, bands), p = prep, plans[0]
+    theta, count_type = p.truth, np.min_scalar_type(p.n_max)
     arc = np.array([pl.rule == Rule.ROBBINS_APPROX for pl in plans])
-    arc_plans = [pl for pl, is_arc in zip(plans, arc) if is_arc]
-    set_plans = [pl for pl, is_arc in zip(plans, arc) if not is_arc]
-    tables = [_log_ratio_tables(pl, ns) for pl in set_plans]
-    bands = [np.array(_bands(pl, ns, theta, tab), dtype=count_type)
-             for pl, tab in zip(set_plans, tables)]
-
-    def gen_worker(r0, r1):
-        sc = np.empty((r1 - r0, ns.size), dtype=count_type)
-        for i, u in _streams(seed, r0, r1, "random", (n_max,)):
-            sc[i:i + len(u)] = np.cumsum(u < theta, axis=1, dtype=count_type)[:, n_min - 1:]
-        counts = np.zeros((len(plans), 2), dtype=np.int64)
-        if arc_plans:
-            counts[arc] = _closed_form_counts(
-                arc_plans, r1 - r0, ns.size, lambda j0, j1, rows: (
-                    np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])), 0.25 / ns[j0:j1]),
-                theta, _arcsine_back_map)
-        for k, pl, (a, b), tab in zip(np.flatnonzero(~arc), set_plans, bands, tables):
-            counts[k] = _level_set_flags(pl, sc, ns, a, b, tab)
-        return counts
-
-    return _tally(_map_chunks(gen_worker, p.reps, threads))
+    sc = np.empty((r1 - r0, ns.size), dtype=count_type)
+    for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
+        sc[i:i + len(u)] = np.cumsum(u < theta, axis=1, dtype=count_type)[:, p.n_min - 1:]
+    counts = np.zeros((len(plans), 2), dtype=np.int64)
+    if arc.any():
+        counts[arc] = _closed_form_counts(
+            [pl for pl, is_arc in zip(plans, arc) if is_arc], r1 - r0, ns.size,
+            lambda j0, j1, rows: (np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])),
+                                  0.25 / ns[j0:j1]),
+            theta, _arcsine_back_map)
+    for k, (a, b), tab in zip(np.flatnonzero(~arc), bands, tables):
+        counts[k] = _level_set_flags(plans[k], sc, ns, a, b, tab)
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # plans and tables
 # ---------------------------------------------------------------------------
 
-_KERNELS = {Model.NORMAL_KNOWN_VAR: _normal_counts, Model.BERNOULLI: _bernoulli_counts,
-            Model.TWO_BERNOULLI: _two_bernoulli_counts}
+_KERNELS = {Model.NORMAL_KNOWN_VAR: (_sizes, _normal_chunk),
+            Model.BERNOULLI: (_bernoulli_setup, _bernoulli_chunk),
+            Model.TWO_BERNOULLI: (_sizes, _two_bernoulli_chunk)}
+
+
+def _kernel_counts(groups, threads: int) -> list:
+    """(contradicted, noncovered) counts per plan of each group of plans sharing data
+    streams: every group's serial set-up, then all their chunks in one _map_chunks call."""
+    jobs = []
+    for group in groups:
+        setup, chunk = _KERNELS[group[0].model]
+        jobs.append((chunk, group, setup(group)))
+    return _map_chunks(jobs, threads)
 
 
 def _run_plans(table: str, plans, threads: int) -> list:
     """One report row per plan; each run of consecutive plans sharing data streams
-    is one kernel call (grouped in order, since a list truth is no dict key)."""
+    is one kernel group (grouped in order, since a list truth is no dict key)."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    rows = []
-    for _, group in itertools.groupby(plans, key=lambda p: (
-            p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq)):
-        group = list(group)
-        counts = _KERNELS[group[0].model](group, threads)
-        rows += [_report_row(table, plan, cnt) for plan, cnt in zip(group, counts)]
-    return rows
+    groups = [list(g) for _, g in itertools.groupby(plans, key=lambda p: (
+        p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq))]
+    return [_report_row(table, plan, cnt) for group, counts in
+            zip(groups, _kernel_counts(groups, threads)) for plan, cnt in zip(group, counts)]
 
 
 def _report_row(table: str, plan: SequencePlan, counts) -> ReportRow:
@@ -558,7 +574,8 @@ def _report_row(table: str, plan: SequencePlan, counts) -> ReportRow:
 def run_plan(plan: SequencePlan, threads: int = 1) -> ReportRow:
     """Run one simulation cell.  Equals the corresponding reproduce_table cell
     whenever model, truth, range, reps and seed coincide (the data streams
-    depend only on (seed, replication))."""
+    depend only on (seed, replication)).  threads is the number of worker
+    processes, as in reproduce_table."""
     return _run_plans("-", (plan,), threads)[0]
 
 
@@ -607,6 +624,12 @@ def reproduce_table(table_id: str, reps: int = 10_000, seed: int = 42,
 
     Cells sharing a data-generating truth reuse the same replication streams,
     so every cell is reproducible in isolation through run_plan.
+
+    threads is the number of worker processes (see _map_chunks); the result does
+    not depend on it.  The pool forks where the platform offers fork, which is
+    unsafe while the caller runs other threads: call it from a single-threaded
+    program, or pass threads=1.  Where it spawns, guard the calling script with
+    ``if __name__ == "__main__":``.
     """
     table_id = table_id.upper()
     if table_id not in TABLE_IDS:

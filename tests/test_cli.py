@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -126,6 +127,29 @@ class TestIntervalCommand:
         assert "# seed=7" in out
 
 
+    @pytest.mark.parametrize("rule, stat", [
+        (["--rule", "exact", "--sigma2", "1", "--weight", "normal:0,1"], ["--ybar", "nan"]),
+        (["--rule", "classical", "--sigma2", "1", "--conf", "0.9"], ["--ybar=-inf"]),
+        (["--rule", "nig", "--weight", "nig:1,8,2,1"], ["--ybar", "0", "--sigma2hat", "nan"]),
+        (["--rule", "approx", "--weight", "normal:0,1"], ["--ybar", "0", "--sigma2hat", "inf"]),
+    ], ids=["exact-nan-ybar", "classical-inf-ybar", "nig-nan-sigma2hat", "approx-inf-sigma2hat"])
+    def test_non_finite_normal_statistic_is_a_usage_error(self, capsys, rule, stat):
+        # once exit 1, "interval endpoints must be finite", the runtime failure code
+        rc, out, err = run(capsys, "interval", "--model", "normal", "--n", "10", *rule, *stat)
+        assert rc == 2
+        assert out == ""
+        assert "must be finite" in err and ("ybar" in err or "sigma_hat_sq" in err)
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "bernoulli", "--n", "10", "--s", "20", "--weight", "beta:1,1"],
+        ["--model", "two-bernoulli", "--n1", "10", "--n2", "10", "--s1", "20", "--s2", "3",
+         "--rule", "wald", "--conf", "0.9"]], ids=["bernoulli", "two-bernoulli"])
+    def test_count_out_of_range_is_a_usage_error(self, capsys, argv):
+        rc, _, err = run(capsys, "interval", *argv)
+        assert rc == 2
+        assert "must lie in" in err
+
+
 class TestConfigFile:
     def test_config_and_flags_equivalent(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -152,6 +176,31 @@ class TestConfigFile:
         rc, _, err = run(capsys, "interval", "--config", str(cfg))
         assert rc == 2
         assert "--config" in err
+
+
+    def test_calls_do_not_leak_into_each_other(self, capsys, tmp_path, monkeypatch):
+        # main reuses one parser; neither a config file nor ROBBINS_SEED may carry over
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps({"model": "bernoulli", "n": 100, "s": 40,
+                                     "weight": "beta:0.5,0.5", "epsilon": 0.5}))
+        second.write_text(json.dumps({"model": "normal", "n": 10, "ybar": 0.3,
+                                      "sigma2": 1.0, "weight": "normal:0,1"}))
+        outs = {}
+        for name, cfg, seed in (("second", second, "11"), ("first", first, "7"),
+                                ("second again", second, "11")):
+            monkeypatch.setenv("ROBBINS_SEED", seed)
+            rc, outs[name], _ = run(capsys, "interval", "--config", str(cfg), "--format", "json")
+            assert rc == 0
+        assert outs["second again"] == outs["second"]
+        first_obj, second_obj = json.loads(outs["first"]), json.loads(outs["second"])
+        assert (first_obj["model"], first_obj["seed"], first_obj["epsilon"]) == ("bernoulli", 7, 0.5)
+        assert (second_obj["model"], second_obj["seed"], second_obj["epsilon"]) == ("normal", 11, 0.2)
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        argv = ("interval", "--model", "bernoulli", "--n", "10", "--s", "3", "--weight", "beta:1,1")
+        rc, out, _ = run(capsys, *argv)
+        monkeypatch.setattr(argparse, "ArgumentParser", None)     # a rebuild would fail
+        assert run(capsys, *argv) == (rc, out, "")
 
 
 class TestVilleCheckCommand:

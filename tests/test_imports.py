@@ -55,6 +55,15 @@ def test_package_import_leaves_adaptive_quadrature_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
+def test_package_import_leaves_multiprocessing_unloaded():
+    # the chunk workers' pool imports it on first use; at import time it would add
+    # ~12 ms to every start, and to each CLI call
+    code = ("import sys, robbins, robbins.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
 # Every default rule, a level-set and a closed-form kernel cell, and one CLI
 # interval per model; the adaptive quadrature (and the Beta-to-arcsine moment
 # match built on it) is the one route that may load scipy.

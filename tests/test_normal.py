@@ -19,6 +19,14 @@ def matches_printed(value, printed, decimals):
     return abs(round(value, decimals) - printed) <= 10.0 ** (-decimals) + 1e-12
 
 
+@pytest.mark.parametrize("ybar, sigma_hat_sq", [
+    (math.inf, math.nan), (math.nan, None), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)])
+def test_non_finite_statistics_rejected(ybar, sigma_hat_sq):
+    # a NaN mean once gave a NaN mixture density, an infinite one an infinite half-width
+    with pytest.raises(ValueError, match="ybar|sigma_hat_sq"):
+        NormalSuffStat(10, ybar, sigma_hat_sq)
+
+
 class TestKnownVariance:
     @pytest.mark.parametrize("weight,half", [
         (NormalWeight(0.0, 1.0), 0.280),

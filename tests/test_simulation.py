@@ -1,7 +1,10 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import sys
 import tracemalloc
 
@@ -838,6 +841,51 @@ class TestDeterminism:
                 assert dataclasses.replace(row, table=table, row_label=label) == cell, \
                     (table, label, level)
         assert sum(c[0] == "T4" for c in cells) == 9
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started, by a spy on ProcessPoolExecutor."""
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs every chunk in-process")
+class TestWorkerPool:
+    """threads > 1 runs the chunks of a call in one pool of worker processes, which
+    never outlives the call."""
+
+    def test_one_pool_per_call_and_no_worker_left(self, pools):
+        reps = CHUNK_REPS + 40          # two chunks for each of T3's three truths
+        rows = reproduce_table("T3", reps=reps, seed=6, threads=2).rows
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert rows == reproduce_table("T3", reps=reps, seed=6, threads=1).rows
+        assert pools == [2]             # threads=1 runs in-process
+
+    def test_no_worker_left_when_a_chunk_raises(self, pools, monkeypatch):
+        def fail(*args):
+            raise EndpointSolveError("chunk failed")
+
+        monkeypatch.setattr(simulation, "_level_set_flags", fail)
+        with pytest.raises(EndpointSolveError, match="chunk failed"):
+            reproduce_table("T3", reps=CHUNK_REPS + 40, seed=6, threads=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_capped_by_chunks_and_cores(self, pools):
+        plan = SequencePlan(model=Model.BERNOULLI, truth=0.4, rule=Rule.LIKELIHOOD_RATIO,
+                            level=0.95, n_min=10, n_max=300, reps=3 * CHUNK_REPS + 40, seed=13)
+        assert run_plan(plan, threads=10 ** 6) == run_plan(plan, threads=1)
+        assert pools == [min(4, os.cpu_count())]
+        assert multiprocessing.active_children() == []
 
 
 class TestReporting:
