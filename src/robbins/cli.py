@@ -23,7 +23,7 @@ import sys
 
 from . import __version__, bernoulli, engine, normal, simulation, two_bernoulli
 from .core import (BetaWeight, LogOddsJeffreysInduced, NormalInverseGamma, NormalWeight,
-                   PersistenceLevel)
+                   PersistenceLevel, _require_sigma0_sq)
 from .simulation import Model, Rule, SequencePlan, compare_to_reference, reproduce_table, run_plan
 
 DEFAULT_EPSILON = 0.2
@@ -83,7 +83,7 @@ def _require(args, names, context):
 
 
 def _stat(cls, *values):
-    """The sufficient statistic of the given options; invalid values are a usage error."""
+    """The sufficient statistic (or check) of the given options; invalid values are a usage error."""
     try:
         return cls(*values)
     except ValueError as exc:
@@ -116,11 +116,13 @@ def _interval_normal(args):
     meta = {}
     if rule == "classical":
         _require(args, ["--sigma2"], "rule classical")
+        _stat(_require_sigma0_sq, args.sigma2)
         stat = _stat(normal.NormalSuffStat, args.n, args.ybar)
         iv = normal.classical_interval(stat, args.sigma2, _conf(args))
         meta["conf"] = _conf(args)
     elif rule == "exact":
         _require(args, ["--sigma2", "--weight"], "rule exact")
+        _stat(_require_sigma0_sq, args.sigma2)
         w = _expect_weight(args, NormalWeight)
         level = _level(args)
         stat = _stat(normal.NormalSuffStat, args.n, args.ybar)

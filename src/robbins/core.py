@@ -133,6 +133,12 @@ def _require_integers(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {x!r}")
 
 
+def _require_sigma0_sq(sigma0_sq) -> None:
+    """A known variance is finite and positive: inf, nan, 0 and negatives give no interval."""
+    if not 0.0 < sigma0_sq < math.inf:
+        raise ValueError(f"sigma0_sq must be finite and positive, got {sigma0_sq}")
+
+
 @dataclass
 class SequenceMonitor:
     """Running state of one monitored interval sequence.

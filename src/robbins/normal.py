@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from ._special import ndtri
-from .core import Interval, NormalInverseGamma, NormalWeight, PersistenceLevel, _require_integers
+from .core import (Interval, NormalInverseGamma, NormalWeight, PersistenceLevel,
+                   _require_integers, _require_sigma0_sq)
 from .engine import ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, closed_form_half_width
 
 __all__ = [
@@ -67,8 +68,7 @@ class NormalSuffStat:
 
 def known_var_loglik(stat: NormalSuffStat, sigma0_sq: float) -> ConcaveLogLikelihood:
     """Log-likelihood of the sample mean, ybar_n ~ N(theta, sigma0^2 / n)."""
-    if not sigma0_sq > 0:
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    _require_sigma0_sq(sigma0_sq)
     ybar, v = stat.ybar, sigma0_sq / stat.n
 
     def fn(theta):
@@ -80,8 +80,7 @@ def known_var_loglik(stat: NormalSuffStat, sigma0_sq: float) -> ConcaveLogLikeli
 def exact_log_mixture(stat: NormalSuffStat, sigma0_sq: float,
                       weight: NormalWeight) -> MixtureLogDensity:
     """Exact log q_n: the sample mean marginally follows N(mu0, tau0^2 + sigma0^2/n)."""
-    if not sigma0_sq > 0:
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    _require_sigma0_sq(sigma0_sq)
     return MixtureLogDensity(_log_density(stat.ybar, weight.mu0, weight.tau0_sq + sigma0_sq / stat.n))
 
 
@@ -95,6 +94,7 @@ def robbins_interval_known_var(stat: NormalSuffStat, sigma0_sq: float,
                                weight: NormalWeight, level: PersistenceLevel) -> Interval:
     """Exact sequence ybar_n +/- d_n(sigma0^2); identical to the level-set route
     through known_var_loglik and exact_log_mixture."""
+    _require_sigma0_sq(sigma0_sq)
     d = closed_form_half_width(sigma0_sq, stat.n, stat.ybar, weight, level)
     return Interval(stat.ybar - d, stat.ybar + d)
 
@@ -103,8 +103,7 @@ def classical_interval(stat: NormalSuffStat, sigma0_sq: float, conf: float) -> I
     """Fixed-level comparator ybar_n +/- sigma0 z_{(1+conf)/2} / sqrt(n)."""
     if not (0.0 < conf < 1.0):
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
-    if not sigma0_sq > 0:
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    _require_sigma0_sq(sigma0_sq)
     d = sqrt(sigma0_sq / stat.n) * float(ndtri(0.5 * (1.0 + conf)))
     return Interval(stat.ybar - d, stat.ybar + d)
 

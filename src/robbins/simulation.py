@@ -45,11 +45,17 @@ monotone, so each step of d and est +/- d keeps the order of c, and a replicatio
 covered at one level is covered, and not contradicted, at every wider one.  The
 arcsine rule maps the reduced endpoints to theta, exact as x -> sin(max(x, 0))^2
 never decreases in floating point on [0, pi/2] (a test checks it).
+The level-set plans of one weight chain likewise by their threshold c (_threshold),
+a later plan seeking one-sided contradictions only in the rows its predecessor
+contradicted.  No bit moves: the level sets {theta : l(theta) >= log eps + log q_n}
+grow as eps falls (the LR sets as conf rises), so a replication contradicted at a
+wider level is contradicted at every narrower one, and each row's search is its own.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -64,7 +70,7 @@ import numpy as np
 
 from ._special import betaln, gammaln, ndtri, xlogy
 from .bernoulli import EndpointSolveError, _arcsine_back_map, _level_set_drop, binomial_level_set
-from .core import BetaWeight, NormalWeight, WeightSpec, _require_integers
+from .core import BetaWeight, NormalWeight, WeightSpec, _require_integers, _require_sigma0_sq
 from .engine import _half_width
 from .two_bernoulli import _corrected_log_odds
 from . import reference
@@ -167,8 +173,7 @@ class SequencePlan:
             raise ValueError(f"reps must be >= 1, got {self.reps}")
         if not (0.0 < self.level < 1.0):
             raise ValueError(f"level must lie in (0, 1), got {self.level}")
-        if not (0.0 < self.sigma0_sq < math.inf):
-            raise ValueError(f"sigma0_sq must be finite and positive, got {self.sigma0_sq}")
+        _require_sigma0_sq(self.sigma0_sq)
         if (self.model, self.rule) not in _WEIGHT_FAMILY:
             raise ValueError(f"rule {self.rule.value} is not supported for the "
                              f"{self.model.value} model in simulation")
@@ -252,29 +257,29 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _map_chunks(jobs, threads: int) -> list:
-    """Counts of each job (chunk, plans, prep): chunk(plans, prep, r0, r1) summed over
-    the fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice order,
-    so identical for any worker count.  threads=1 or a single chunk runs in-process;
-    else a pool of min(threads, chunks, cpu count) worker processes (forked where the
-    platform offers fork, else spawned) takes every job's chunks at once, and is shut
-    down before returning, also when a chunk raises."""
-    tasks = [(k, chunk, plans, prep, r0, min(r0 + CHUNK_REPS, plans[0].reps))
-             for k, (chunk, plans, prep) in enumerate(jobs)
-             for r0 in range(0, plans[0].reps, CHUNK_REPS)]
-    workers = min(threads, len(tasks), os.cpu_count() or 1)
-    if workers <= 1:
-        results = [chunk(*args) for _, chunk, *args in tasks]
-    else:
+    """Counts of each job (setup, chunk, plans): chunk(plans, setup(plans), r0, r1) summed
+    over the fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice
+    order, so identical for any worker count.  threads=1 or a single chunk runs
+    in-process; else a pool of min(threads, chunks, cpu count) worker processes (forked
+    where the platform offers fork, else spawned) takes each job's chunks as soon as its
+    set-up is built, and is shut down before returning, also when a set-up or chunk raises."""
+    starts = [range(0, plans[0].reps, CHUNK_REPS) for *_, plans in jobs]
+    pool, workers = None, min(threads, sum(map(len, starts)), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn")
         pool = ProcessPoolExecutor(workers, mp_context=ctx)
-        try:
-            results = [f.result() for f in [pool.submit(*t[1:]) for t in tasks]]
-        finally:
+    try:
+        results = []
+        for (setup, chunk, plans), r0s in zip(jobs, starts):
+            prep, run = setup(plans), functools.partial(pool.submit, chunk) if pool else chunk
+            results.append([run(plans, prep, r0, min(r0 + CHUNK_REPS, r0s.stop)) for r0 in r0s])
+        return [_tally([r.result() if pool else r for r in rs]) for rs in results]
+    finally:
+        if pool:
             pool.shutdown(cancel_futures=True)
-    return [_tally([r for t, r in zip(tasks, results) if t[0] == k]) for k in range(len(jobs))]
 
 
 def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
@@ -397,19 +402,30 @@ def _two_bernoulli_chunk(plans, ns, r0, r1):
 _LOG_RATIO_MARGIN = 1e-12
 
 
-def _log_ratio_tables(plan, ns):
+def _weight_tables(weights, ns) -> dict:
+    """Per weight, (A, B, C, margin) of _log_ratio_tables before C takes the threshold c:
+    one set of arrays per weight and one margin for all, so a pickle holds each once."""
+    xlogx = xlogy(k := np.arange(ns[-1] + 1.0), k)
+    margin = _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
+    return {w: ((xlogx, xlogx, xlogx[ns]) if w is None else (
+        gammaln(k + w.alpha), gammaln(k + w.beta),
+        gammaln(ns + (w.alpha + w.beta)) + float(betaln(w.alpha, w.beta)))) + (margin,)
+        for w in weights}
+
+
+def _threshold(plan) -> float:
+    """c of _log_ratio_tables: -log eps (exact rule), chi2_{1,conf}/2 (likelihood ratio)."""
+    return _level_set_drop(None, plan.level) if plan.weight is None else -math.log(plan.level)
+
+
+def _log_ratio_tables(plan, ns, shared=None):
     """(A, B, C + c, margin) per run: v is covered at (n, s) = (ns[j], s) iff
     stat(v; s) = A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with
     A, B, C = gammaln(k + alpha), gammaln(k + beta), gammaln(n + alpha + beta) +
-    log B(alpha, beta), c = -log eps (exact rule); A = B = xlogy(k, k), C = n log n,
-    c = chi2_{1,conf}/2 (likelihood ratio)."""
-    w, k = plan.weight, np.arange(ns[-1] + 1.0)
-    xlogx = xlogy(k, k)
-    A, B, C = (xlogx, xlogx, xlogx[ns]) if w is None else (
-        gammaln(k + w.alpha), gammaln(k + w.beta),
-        gammaln(ns + (w.alpha + w.beta)) + float(betaln(w.alpha, w.beta)))
-    c = _level_set_drop(None, plan.level) if w is None else -math.log(plan.level)
-    return A, B, C + c, _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
+    log B(alpha, beta) (exact rule); A = B = xlogy(k, k), C = n log n (likelihood
+    ratio); c is _threshold.  shared: the _weight_tables holding the plan's weight."""
+    A, B, C, margin = (shared or _weight_tables([plan.weight], ns))[plan.weight]
+    return A, B, C + _threshold(plan), margin
 
 
 def _excess(tables, ns, v):
@@ -430,6 +446,12 @@ def _excess(tables, ns, v):
     return excess
 
 
+def _endpoints(plan, s, n):
+    """binomial_level_set endpoints of the plan at counts s of n; no call for no counts."""
+    return (binomial_level_set(s, n, _level_set_drop(plan.weight, plan.level, s, n))
+            if s.size else (s * 0.0, s * 0.0))
+
+
 def _bands(plan, ns, theta, tables):
     """(a, b) per n: theta is covered at exactly the counts a <= s <= b, the crossing
     statistic being convex in s (empty band: a = b + 1).  a and b + 1, the least s with
@@ -444,27 +466,28 @@ def _bands(plan, ns, theta, tables):
         ex = excess(0, s, j[e])
         covered, high = ex < 0, s > n * theta
         past = np.where(side[e] == 0, covered | high, ~covered & high)
-        if (near := np.flatnonzero(np.abs(ex) <= margin[j[e]])).size:
-            lower, upper = binomial_level_set(
-                s[near], n[near], _level_set_drop(plan.weight, plan.level, s[near], n[near]))
-            past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
+        near = np.flatnonzero(np.abs(ex) <= margin[j[e]])
+        lower, upper = _endpoints(plan, s[near], n[near])
+        past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
         hi[e[past]], lo[e[~past]] = s[past], s[~past]
     a, b = hi.reshape(2, ns.size)
     return a, b - 1
 
 
-def _level_set_flags(plan, sc, ns, a, b, tables):
-    """(contradicted, noncovered) counts of a level-set plan on a chunk of counts sc
-    (replications x ns) with band [a, b] and _log_ratio_tables.  A row leaving the
-    band is noncovered, and contradicted if it leaves on both sides, or below only
-    and some lower endpoint exceeds U*, the least upper endpoint at its violating
-    looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts as the
-    endpoint at the look of largest relative deficit and is lowered where stat(U*)
-    does not clear c."""
+def _level_set_flags(plan, sc, ns, a, b, tables, prior):
+    """((contradicted, noncovered) counts, contradicted mask) of a level-set plan on a
+    chunk of counts sc (replications x ns) with band [a, b] and _log_ratio_tables.  A
+    row leaving the band is noncovered, and contradicted if it leaves on both sides, or
+    below only and some lower endpoint exceeds U*, the least upper endpoint at its
+    violating looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts
+    as the endpoint at the look of largest relative deficit and is lowered where
+    stat(U*) does not clear c.  A one-sided row is searched only if prior holds it: the
+    contradicted mask of the plan's predecessor in its chain (all rows for the first)."""
     margin = tables[3]
     low, high = sc < a, sc > b
     below, above = low.any(axis=1), high.any(axis=1)
-    rows = np.flatnonzero(below != above)
+    contradicted = below & above
+    rows = np.flatnonzero((below != above) & prior)
     side = below[rows]
     r, j = np.divmod(np.flatnonzero(low[rows] | high[rows]), ns.size)  # all on one side
     s, n = sc[rows[r], j].astype(np.intp), ns[j]
@@ -472,13 +495,11 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
     first = np.searchsorted(r, range(rows.size))      # each row's first violating look
     top = np.flatnonzero(dev == np.maximum.reduceat(dev, first)[r])
     pick = top[np.searchsorted(r[top], range(rows.size))]
-    lower, upper = binomial_level_set(
-        s[pick], n[pick], _level_set_drop(plan.weight, plan.level, s[pick], n[pick]))
+    lower, upper = _endpoints(plan, s[pick], n[pick])
     v = np.where(side, upper, lower)
     excess = _excess(tables, ns, v)
     cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
-    lower, upper = binomial_level_set(
-        s[cand], n[cand], _level_set_drop(plan.weight, plan.level, s[cand], n[cand]))
+    lower, upper = _endpoints(plan, s[cand], n[cand])
     up = side[r[cand]]
     np.minimum.at(v, r[cand][up], upper[up])
     np.maximum.at(v, r[cand][~up], lower[~up])
@@ -493,29 +514,33 @@ def _level_set_flags(plan, sc, ns, a, b, tables):
         hit[live[rr[over]]] = True
         near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
     i, s, j = (np.concatenate(x) for x in zip(*near))
-    lower, upper = binomial_level_set(s, ns[j], _level_set_drop(plan.weight, plan.level, s, ns[j]))
+    lower, upper = _endpoints(plan, s, ns[j])
     hit[i[np.where(side[i], lower > v[i], upper < v[i])]] = True
-    return (np.count_nonzero(below & above) + np.count_nonzero(hit),
-            np.count_nonzero(below | above))
+    contradicted[rows[hit]] = True
+    return (np.count_nonzero(contradicted), np.count_nonzero(below | above)), contradicted
 
 
 def _bernoulli_setup(plans):
-    """The monitored sizes, and per level-set plan its _log_ratio_tables and band."""
+    """Per weight, the chain of its level-set plans, narrowest first (by _threshold):
+    (k, _log_ratio_tables, band) per plans[k], the weight's tables shared by its plans."""
     p = plans[0]
     ns = np.arange(p.n_min, p.n_max + 1)
-    set_plans = [pl for pl in plans if pl.rule != Rule.ROBBINS_APPROX]
-    tables = [_log_ratio_tables(pl, ns) for pl in set_plans]
-    bands = [np.array(_bands(pl, ns, p.truth, tab), dtype=np.min_scalar_type(p.n_max))
-             for pl, tab in zip(set_plans, tables)]
-    return ns, tables, bands
+    ks = sorted((k for k, pl in enumerate(plans) if pl.rule != Rule.ROBBINS_APPROX),
+                key=lambda k: _threshold(plans[k]))
+    shared, chains = _weight_tables({plans[k].weight for k in ks}, ns), {}
+    for k in ks:
+        tables = _log_ratio_tables(plans[k], ns, shared)
+        band = np.array(_bands(plans[k], ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
+        chains.setdefault(plans[k].weight, []).append((k, tables, band))
+    return list(chains.values())
 
 
-def _bernoulli_chunk(plans, prep, r0, r1):
+def _bernoulli_chunk(plans, chains, r0, r1):
     """Counts per plan for the exact, likelihood-ratio and arcsine rules, in one pass
     per chunk: generate its success counts, flag the arcsine plans by the
-    closed-form scan and the level-set plans by _level_set_flags."""
-    (ns, tables, bands), p = prep, plans[0]
-    theta, count_type = p.truth, np.min_scalar_type(p.n_max)
+    closed-form scan and each chain of level-set plans by _level_set_flags."""
+    p = plans[0]
+    theta, count_type, ns = p.truth, np.min_scalar_type(p.n_max), np.arange(p.n_min, p.n_max + 1)
     arc = np.array([pl.rule == Rule.ROBBINS_APPROX for pl in plans])
     sc = np.empty((r1 - r0, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
@@ -527,8 +552,10 @@ def _bernoulli_chunk(plans, prep, r0, r1):
             lambda j0, j1, rows: (np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])),
                                   0.25 / ns[j0:j1]),
             theta, _arcsine_back_map)
-    for k, (a, b), tab in zip(np.flatnonzero(~arc), bands, tables):
-        counts[k] = _level_set_flags(plans[k], sc, ns, a, b, tab)
+    for chain in chains:
+        contradicted = np.ones(r1 - r0, dtype=bool)
+        for k, tables, (a, b) in chain:
+            counts[k], contradicted = _level_set_flags(plans[k], sc, ns, a, b, tables, contradicted)
     return counts
 
 
@@ -543,12 +570,8 @@ _KERNELS = {Model.NORMAL_KNOWN_VAR: (_sizes, _normal_chunk),
 
 def _kernel_counts(groups, threads: int) -> list:
     """(contradicted, noncovered) counts per plan of each group of plans sharing data
-    streams: every group's serial set-up, then all their chunks in one _map_chunks call."""
-    jobs = []
-    for group in groups:
-        setup, chunk = _KERNELS[group[0].model]
-        jobs.append((chunk, group, setup(group)))
-    return _map_chunks(jobs, threads)
+    streams: each group's serial set-up and its chunks, by one _map_chunks call."""
+    return _map_chunks([(*_KERNELS[group[0].model], group) for group in groups], threads)
 
 
 def _run_plans(table: str, plans, threads: int) -> list:

@@ -140,6 +140,18 @@ class TestIntervalCommand:
         assert out == ""
         assert "must be finite" in err and ("ybar" in err or "sigma_hat_sq" in err)
 
+    @pytest.mark.parametrize("sigma2", ["inf", "nan", "0", "-1"])
+    @pytest.mark.parametrize("rule", [["--rule", "exact", "--weight", "normal:0,1"],
+                                      ["--rule", "classical", "--conf", "0.9"]],
+                             ids=["exact", "classical"])
+    def test_bad_known_variance_is_a_usage_error(self, capsys, rule, sigma2):
+        # once exit 1, the runtime failure code, with a misleading message
+        rc, out, err = run(capsys, "interval", "--model", "normal", "--n", "10",
+                           "--ybar", "0", *rule, f"--sigma2={sigma2}")
+        assert rc == 2
+        assert out == ""
+        assert "sigma0_sq must be finite and positive" in err
+
     @pytest.mark.parametrize("argv", [
         ["--model", "bernoulli", "--n", "10", "--s", "20", "--weight", "beta:1,1"],
         ["--model", "two-bernoulli", "--n1", "10", "--n2", "10", "--s1", "20", "--s2", "3",

@@ -27,6 +27,20 @@ def test_non_finite_statistics_rejected(ybar, sigma_hat_sq):
         NormalSuffStat(10, ybar, sigma_hat_sq)
 
 
+@pytest.mark.parametrize("sigma0_sq", [math.inf, math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("rule", [
+    lambda st, v: normal.known_var_loglik(st, v),
+    lambda st, v: normal.exact_log_mixture(st, v, NormalWeight(0.0, 1.0)),
+    lambda st, v: classical_interval(st, v, 0.95),
+    lambda st, v: robbins_interval_known_var(st, v, NormalWeight(0.0, 1.0), EPS02),
+], ids=["loglik", "log-mixture", "classical", "robbins"])
+def test_known_variance_must_be_finite_and_positive(rule, sigma0_sq):
+    # an infinite variance once failed as "interval endpoints must be finite", and
+    # NaN as "must be positive, got nan"
+    with pytest.raises(ValueError, match="sigma0_sq must be finite and positive"):
+        rule(NormalSuffStat(10, 0.0), sigma0_sq)
+
+
 class TestKnownVariance:
     @pytest.mark.parametrize("weight,half", [
         (NormalWeight(0.0, 1.0), 0.280),

@@ -602,8 +602,10 @@ class TestBoundedMemory:
 
 class TestChainPruning:
     """Plans of one kernel call that share a weight form a chain, ordered from the
-    narrowest interval to the widest; a later plan scans only the replications
-    its predecessor left noncovered.  That must move no bit."""
+    narrowest interval to the widest; a later closed-form plan scans only the
+    replications its predecessor left noncovered, a later level-set plan seeks
+    one-sided contradictions only among those its predecessor contradicted.  That
+    must move no bit."""
 
     CASES = {
         "normal-exact": (dict(model=Model.NORMAL_KNOWN_VAR, truth=0.3, n_min=5, n_max=400),
@@ -616,6 +618,10 @@ class TestChainPruning:
         "bernoulli-arcsine": (dict(model=Model.BERNOULLI, truth=0.3, n_min=5, n_max=400),
                               Rule.ROBBINS_APPROX,
                               (NormalWeight(0.8, 0.4), NormalWeight(1.4, 0.02))),
+        "bernoulli-lr": (dict(model=Model.BERNOULLI, truth=0.3, n_min=5, n_max=400),
+                         Rule.LIKELIHOOD_RATIO, (None,)),
+        "bernoulli-exact": (dict(model=Model.BERNOULLI, truth=0.3, n_min=5, n_max=400),
+                            Rule.ROBBINS_EXACT, (BetaWeight(1.0, 1.0), BetaWeight(0.5, 0.5))),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -636,6 +642,16 @@ class TestChainPruning:
         assert all(0 < r.noncoverages_pct < 100 for r in rows), rows
         assert any(r.contradictions_pct < r.noncoverages_pct for r in rows)
         assert len({(r.contradictions_pct, r.noncoverages_pct) for r in rows}) > 2
+        if kw["model"] == Model.BERNOULLI and rule != Rule.ROBBINS_APPROX:
+            # contradicted at a wider level implies contradicted at a narrower one; a
+            # replication contradicted at one level but not at the next wider tells a
+            # chain pruned on a wrong mask or in a wrong order from the plans run alone
+            for w in weights:
+                chain = sorted({(p.level if w is None else -p.level, r.contradictions_pct)
+                                for p, r in zip(plans, rows) if p.weight == w})
+                contra = [c for _, c in chain]
+                assert contra == sorted(contra, reverse=True), (w, chain)
+                assert contra[0] > contra[1], (w, chain)
 
     @pytest.mark.parametrize("theta, weight", [
         (0.02, NormalWeight(1.5, 0.05)), (0.98, NormalWeight(0.0, 0.05)),
@@ -877,6 +893,30 @@ class TestWorkerPool:
         monkeypatch.setattr(simulation, "_level_set_flags", fail)
         with pytest.raises(EndpointSolveError, match="chunk failed"):
             reproduce_table("T3", reps=CHUNK_REPS + 40, seed=6, threads=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_left_when_a_later_set_up_raises(self, pools, monkeypatch):
+        # T3's three truths are three groups of four plans; the second group's set-up
+        # runs after the first group's two chunks went to the workers
+        bands, submit = simulation._bands, concurrent.futures.ProcessPoolExecutor.submit
+        truths, submitted = [], []
+
+        def fail(plan, *args):
+            truths.append(plan.truth)
+            if len(set(truths)) > 1:
+                raise EndpointSolveError("set-up failed")
+            return bands(plan, *args)
+
+        def spy(self, *args, **kwargs):
+            submitted.append(args[3:5])
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(simulation, "_bands", fail)
+        monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+        with pytest.raises(EndpointSolveError, match="set-up failed"):
+            reproduce_table("T3", reps=CHUNK_REPS + 40, seed=6, threads=2)
+        assert submitted == [(0, CHUNK_REPS), (CHUNK_REPS, CHUNK_REPS + 40)]
         assert pools == [2]
         assert multiprocessing.active_children() == []
 
