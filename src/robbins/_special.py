@@ -17,6 +17,7 @@ _LGAM_POLY = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.936503404
               -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 _GAMMA = np.array([math.inf] + [math.gamma(k) for k in range(1, 172)])   # Gamma(0..171)
 _MAXGAM = 171.624376956302725   # Gamma overflows above
+# up to _SMALL, one by one is ~2x cheaper per call than the array route, with the scalar bits
 _SMALL, _STACK = 32, 1 << 15    # betaln: one by one up to _SMALL, one gammaln call up to _STACK
 
 

@@ -135,6 +135,9 @@ def _interval_normal(args):
         w = _expect_weight(args, NormalInverseGamma)
         level = _level(args)
         stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
+        _stat(stat._require_variance)
+        if stat.n < 2:
+            raise CliError(f"rule nig requires --n >= 2, got {stat.n}")
         iv = normal.nig_profile_interval(stat, w, level)
         meta["epsilon"] = level.epsilon
         meta["threshold"] = level.log_epsilon + normal.nig_log_marginal(stat, w)
@@ -143,6 +146,7 @@ def _interval_normal(args):
         w = _expect_weight(args, NormalWeight)
         level = _level(args)
         stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
+        _stat(stat._require_variance)
         iv = normal.approx_interval_unknown_var(stat, w, level)
         meta["epsilon"] = level.epsilon
     else:

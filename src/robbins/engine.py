@@ -372,14 +372,14 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     (counted at 16, not 2); q_2/p_2 = 4/3 exceeds the float 4/3, yet its float log-ratio rounds
     below log k and is missed.  These three take the loop.
     """
-    from .simulation import _kernel_counts, replication_rng
+    from .simulation import _map_chunks, replication_rng
     if not 1.0 < k < math.inf:
         raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
     if (plan := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
-        crossings = int(_kernel_counts([[plan]], 1)[0][0][1])
+        crossings = int(_map_chunks([[plan]], 1)[0][0][1])
     else:
         log_k, crossings = math.log(k), 0
         for r in range(reps):

@@ -24,9 +24,9 @@ replication_rng(s, r) stream.  Draw order:
                        n1 = n2 = n along the sequence)
 
 Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
-Consecutive plans sharing their data streams form one kernel group: a serial
-set-up, then a module-level chunk step of (plans, set-up, r0, r1) per chunk, which
-takes the plans themselves, so a cell equals its plan run alone by run_plan.
+Consecutive plans sharing their data streams form one kernel group, run alike for every
+model: a serial _setup, then per chunk a module-level _chunk(plans, set-up, r0, r1) that
+draws once (_draw) and flags each plan, so a cell equals its plan run alone by run_plan.
 
 The kernels call the scalar rules' own formulas, array-valued in the model modules:
 the mixture half-width (engine), corrected log-odds (two_bernoulli), arcsine back-map
@@ -39,7 +39,7 @@ a contradiction depends on them (_level_set_flags).
 
 Closed-form plans of one kernel group sharing a weight (or having none) form a
 chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
-_flag_scan runs round k on the k-th plan of every chain, a later plan scanning
+_closed_form_counts runs round k on the k-th plan of every chain, a later plan scanning
 only the replications its predecessor left noncovered.  No bit moves: rounding is
 monotone, so each step of d and est +/- d keeps the order of c, and a replication
 covered at one level is covered, and not contradicted, at every wider one.  The
@@ -256,14 +256,14 @@ def _fmt(x: float) -> str:
 # chunked execution
 # ---------------------------------------------------------------------------
 
-def _map_chunks(jobs, threads: int) -> list:
-    """Counts of each job (setup, chunk, plans): chunk(plans, setup(plans), r0, r1) summed
-    over the fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice
-    order, so identical for any worker count.  threads=1 or a single chunk runs
-    in-process; else a pool of min(threads, chunks, cpu count) worker processes (forked
-    where the platform offers fork, else spawned) takes each job's chunks as soon as its
-    set-up is built, and is shut down before returning, also when a set-up or chunk raises."""
-    starts = [range(0, plans[0].reps, CHUNK_REPS) for *_, plans in jobs]
+def _map_chunks(groups, threads: int) -> list:
+    """Counts of each group of plans: _chunk(plans, _setup(plans), r0, r1) summed over the
+    fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice order, so
+    identical for any worker count.  threads=1 or a single chunk runs in-process; else a
+    pool of min(threads, chunks, cpu count) worker processes (forked where the platform
+    offers fork, else spawned) takes each group's chunks as soon as its set-up is built,
+    and is shut down before returning, also when a set-up or chunk raises."""
+    starts = [range(0, plans[0].reps, CHUNK_REPS) for plans in groups]
     pool, workers = None, min(threads, sum(map(len, starts)), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
@@ -273,9 +273,9 @@ def _map_chunks(jobs, threads: int) -> list:
         pool = ProcessPoolExecutor(workers, mp_context=ctx)
     try:
         results = []
-        for (setup, chunk, plans), r0s in zip(jobs, starts):
-            prep, run = setup(plans), functools.partial(pool.submit, chunk) if pool else chunk
-            results.append([run(plans, prep, r0, min(r0 + CHUNK_REPS, r0s.stop)) for r0 in r0s])
+        for plans, r0s in zip(groups, starts):
+            setup, run = _setup(plans), functools.partial(pool.submit, _chunk) if pool else _chunk
+            results.append([run(plans, setup, r0, min(r0 + CHUNK_REPS, r0s.stop)) for r0 in r0s])
         return [_tally([r.result() if pool else r for r in rs]) for rs in results]
     finally:
         if pool:
@@ -289,105 +289,52 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _flag_scan(chains, m, ncols, tile_ends, truth, bounds=None) -> np.ndarray:
-    """(contradicted, noncovered) counts per plan, shape (nplans, 2), for a chunk of
-    m replications monitored at ncols sample sizes.  chains lists the plan indices,
-    each chain narrowest first; round k scans the k-th plan of each chain on the rows
-    its predecessor flagged noncovered (all rows in round 0), the others getting no
-    flag.  tile_ends(j0, j1, active) yields the (lower, upper) endpoint arrays on the
-    columns [j0, j1) of one fixed TILE_COLS-wide tile for each (plan, rows) pair of
-    the round; the running max of lower and min of upper endpoints are carried across
-    the tiles, mapped by bounds(maxlo, minup) when given, and flagged at the end."""
-    counts = np.zeros((sum(map(len, chains)), 2), dtype=np.int64)
-    everyone = np.arange(m)
-    rows = [slice(None)] * len(chains)
-    for rnd in range(max(map(len, chains))):
-        live = [i for i, c in enumerate(chains) if rnd < len(c) and everyone[rows[i]].size]
-        active = [(chains[i][rnd], rows[i]) for i in live]
-        maxlo = [np.full(everyone[r].size, -np.inf) for _, r in active]
-        minup = [np.full(lo.size, np.inf) for lo in maxlo]
-        for j0 in range(0, ncols, TILE_COLS):
-            ends = tile_ends(j0, min(j0 + TILE_COLS, ncols), active)
-            for lo, up, (lower, upper) in zip(maxlo, minup, ends):
-                np.maximum(lo, lower.max(axis=1), out=lo)
-                np.minimum(up, upper.min(axis=1), out=up)
-        for i, (k, r), lo, up in zip(live, active, maxlo, minup):
-            if bounds is not None:
-                lo, up = bounds(lo, up)
-            noncov = (lo > truth) | (up < truth)
-            counts[k] = np.count_nonzero(lo > up), np.count_nonzero(noncov)
-            rows[i] = everyone[r][noncov]
-    return counts
-
-
 # ---------------------------------------------------------------------------
-# closed-form kernels (normal, two-bernoulli, arcsine)
+# closed-form rules (normal, two-bernoulli, arcsine)
 # ---------------------------------------------------------------------------
 
 def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarray:
-    """Flag counts per plan (see _flag_scan) of est +/- d, est_v(j0, j1, rows) giving
-    the estimates and variances of the rows on one tile: d = c sqrt(v) for a
-    fixed-level rule, c = ndtri((1 + conf)/2), else engine._half_width at c = -2 log eps.
-    Plans sharing a weight form one chain, ordered by c.  bounds maps the reduced
-    endpoints to the parameter scale."""
+    """(contradicted, noncovered) counts per plan, shape (nplans, 2), of est +/- d on a
+    chunk of m replications monitored at ncols sample sizes, est_v(j0, j1, rows) giving
+    the estimates and variances of the rows on the columns [j0, j1) of one fixed
+    TILE_COLS-wide tile: d = c sqrt(v) for a fixed-level rule, c = ndtri((1 + conf)/2),
+    else engine._half_width at c = -2 log eps.  Plans sharing a weight form one chain,
+    ordered by c; round k scans the k-th plan of each chain on the rows its predecessor
+    flagged noncovered (all rows, and one est_v call per tile, in round 0).  The running
+    max of lower and min of upper endpoints are carried across the tiles, mapped to the
+    parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
     c = [float(ndtri(0.5 * (1.0 + p.level))) if p.weight is None else -2.0 * math.log(p.level)
          for p in plans]
     chains = {}
     for k in sorted(range(len(plans)), key=c.__getitem__):
         chains.setdefault(plans[k].weight, []).append(k)
-
-    def tile_ends(j0, j1, active):
-        last = None
-        for k, rows in active:
-            if rows is not last:        # round 0: one estimate per tile for every chain
-                (est, v), last = est_v(j0, j1, rows), rows
-            if (w := plans[k].weight) is None:
-                d = c[k] * np.sqrt(v)
-                yield est - d, est + d
-                continue
-            d = _half_width(v, est, w, c[k])
-            yield est - d, np.add(d, est, out=d)
-
-    return _flag_scan(list(chains.values()), m, ncols, tile_ends, truth, bounds)
-
-
-def _sizes(plans):
-    """The monitored sample sizes, set-up of the closed-form kernels; the plans share
-    the model, truth, range, reps, seed and sigma0_sq."""
-    return np.arange(plans[0].n_min, plans[0].n_max + 1, dtype=float)
-
-
-def _normal_chunk(plans, ns, r0, r1):
-    """(contradictions, noncoverages) counts per plan on replications r0..r1-1."""
-    p, m = plans[0], r1 - r0
-    v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
-    total = np.empty((m, p.n_max))
-    for i, y in _streams(p.seed, r0, r1, "standard_normal", (p.n_max,)):
-        y *= sigma0
-        y += p.truth
-        np.cumsum(y, axis=1, out=total[i:i + len(y)])
-    est = total[:, p.n_min - 1:]
-    est /= ns
-    return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
-        est[rows, j0:j1], v[j0:j1]), p.truth)
-
-
-def _two_bernoulli_chunk(plans, ns, r0, r1):
-    """Paired sampling, continuity-corrected estimates, truth is the log-odds
-    ratio; counts per plan as in _normal_chunk."""
-    p, m = plans[0], r1 - r0
-    (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
-    psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
-    s1 = np.empty((m, ns.size))
-    s2 = np.empty_like(s1)
-    for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
-        s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
-        s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
-    for j0 in range(0, ns.size, TILE_COLS):     # estimate over s1, variance over s2
-        t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
-        t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
-    return _closed_form_counts(plans, m, ns.size, lambda j0, j1, rows: (
-        s1[rows, j0:j1], s2[rows, j0:j1]), psi_true)
+    chains = list(chains.values())
+    counts = np.zeros((len(plans), 2), dtype=np.int64)
+    rows = [np.arange(m)] * len(chains)
+    for rnd in range(max(map(len, chains))):
+        live = [i for i, ch in enumerate(chains) if rnd < len(ch) and rows[i].size]
+        maxlo = [np.full(rows[i].size, -np.inf) for i in live]
+        minup = [np.full(lo.size, np.inf) for lo in maxlo]
+        for j0 in range(0, ncols, TILE_COLS):
+            tile = rnd == 0 and est_v(j0, j0 + TILE_COLS, slice(None))   # shared by the chains
+            for i, lo, up in zip(live, maxlo, minup):
+                est, v = tile or est_v(j0, j0 + TILE_COLS, rows[i])
+                k = chains[i][rnd]
+                if (w := plans[k].weight) is None:
+                    d = c[k] * np.sqrt(v)
+                    lower, upper = est - d, est + d
+                else:
+                    d = _half_width(v, est, w, c[k])
+                    lower, upper = est - d, np.add(d, est, out=d)
+                np.maximum(lo, lower.max(axis=1), out=lo)
+                np.minimum(up, upper.min(axis=1), out=up)
+        for i, lo, up in zip(live, maxlo, minup):
+            if bounds is not None:
+                lo, up = bounds(lo, up)
+            noncov = (lo > truth) | (up < truth)
+            counts[chains[i][rnd]] = np.count_nonzero(lo > up), np.count_nonzero(noncov)
+            rows[i] = rows[i][noncov]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -520,38 +467,77 @@ def _level_set_flags(plan, sc, ns, a, b, tables, prior):
     return (np.count_nonzero(contradicted), np.count_nonzero(below | above)), contradicted
 
 
-def _bernoulli_setup(plans):
-    """Per weight, the chain of its level-set plans, narrowest first (by _threshold):
-    (k, _log_ratio_tables, band) per plans[k], the weight's tables shared by its plans."""
+# ---------------------------------------------------------------------------
+# the kernel: one set-up per group of plans, one draw and one chunk step per chunk
+# ---------------------------------------------------------------------------
+
+def _setup(plans):
+    """(ns, chains): the monitored sample sizes, and per weight the chain of the group's
+    level-set plans (Bernoulli exact and likelihood-ratio rules), narrowest first (by
+    _threshold): (k, _log_ratio_tables, band) per plans[k], the weight's tables shared by
+    its plans.  The plans share the model, truth, range, reps, seed and sigma0_sq."""
     p = plans[0]
     ns = np.arange(p.n_min, p.n_max + 1)
-    ks = sorted((k for k, pl in enumerate(plans) if pl.rule != Rule.ROBBINS_APPROX),
+    ks = sorted((k for k, pl in enumerate(plans)
+                 if pl.model == Model.BERNOULLI and pl.rule != Rule.ROBBINS_APPROX),
                 key=lambda k: _threshold(plans[k]))
-    shared, chains = _weight_tables({plans[k].weight for k in ks}, ns), {}
+    shared, chains = _weight_tables({plans[k].weight for k in ks}, ns) if ks else {}, {}
     for k in ks:
         tables = _log_ratio_tables(plans[k], ns, shared)
         band = np.array(_bands(plans[k], ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
         chains.setdefault(plans[k].weight, []).append((k, tables, band))
-    return list(chains.values())
+    return ns, list(chains.values())
 
 
-def _bernoulli_chunk(plans, chains, r0, r1):
-    """Counts per plan for the exact, likelihood-ratio and arcsine rules, in one pass
-    per chunk: generate its success counts, flag the arcsine plans by the
-    closed-form scan and each chain of level-set plans by _level_set_flags."""
-    p = plans[0]
-    theta, count_type, ns = p.truth, np.min_scalar_type(p.n_max), np.arange(p.n_min, p.n_max + 1)
-    arc = np.array([pl.rule == Rule.ROBBINS_APPROX for pl in plans])
-    sc = np.empty((r1 - r0, ns.size), dtype=count_type)
+def _draw(plan, ns, r0, r1):
+    """(est_v, truth, bounds, counts) of replications r0..r1-1, the statistics the plan's
+    model monitors at ns: est_v, truth and bounds as _closed_form_counts takes them, and
+    the success counts (replications x ns) of the Bernoulli model (else None).  Normal:
+    running means; two-Bernoulli: the paired corrected log-odds (estimate over s1,
+    variance over s2), the log-odds ratio as truth; Bernoulli: the arcsine estimates,
+    mapped back by _arcsine_back_map."""
+    p, m = plan, r1 - r0
+    if p.model == Model.NORMAL_KNOWN_VAR:
+        v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
+        total = np.empty((m, p.n_max))
+        for i, y in _streams(p.seed, r0, r1, "standard_normal", (p.n_max,)):
+            y *= sigma0
+            y += p.truth
+            np.cumsum(y, axis=1, out=total[i:i + len(y)])
+        est = total[:, p.n_min - 1:]
+        est /= ns
+        return lambda j0, j1, rows: (est[rows, j0:j1], v[j0:j1]), p.truth, None, None
+    if p.model == Model.TWO_BERNOULLI:
+        (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
+        s1 = np.empty((m, ns.size))
+        s2 = np.empty_like(s1)
+        for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
+            s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
+            s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
+        for j0 in range(0, ns.size, TILE_COLS):
+            t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
+            t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
+        psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
+        return lambda j0, j1, rows: (s1[rows, j0:j1], s2[rows, j0:j1]), psi_true, None, None
+    count_type = np.min_scalar_type(p.n_max)
+    sc = np.empty((m, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
-        sc[i:i + len(u)] = np.cumsum(u < theta, axis=1, dtype=count_type)[:, p.n_min - 1:]
+        sc[i:i + len(u)] = np.cumsum(u < p.truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
+    return lambda j0, j1, rows: (np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])),
+                                 0.25 / ns[j0:j1]), p.truth, _arcsine_back_map, sc
+
+
+def _chunk(plans, setup, r0, r1):
+    """(contradicted, noncovered) counts per plan on replications r0..r1-1, in one pass:
+    one _draw, the closed-form plans flagged by _closed_form_counts and each chain of
+    level-set plans by _level_set_flags, on the set-up (ns, chains) of _setup."""
+    ns, chains = setup
+    est_v, truth, bounds, sc = _draw(plans[0], ns, r0, r1)
     counts = np.zeros((len(plans), 2), dtype=np.int64)
-    if arc.any():
-        counts[arc] = _closed_form_counts(
-            [pl for pl, is_arc in zip(plans, arc) if is_arc], r1 - r0, ns.size,
-            lambda j0, j1, rows: (np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])),
-                                  0.25 / ns[j0:j1]),
-            theta, _arcsine_back_map)
+    level_set = {k for chain in chains for k, *_ in chain}
+    if closed := [k for k in range(len(plans)) if k not in level_set]:
+        counts[closed] = _closed_form_counts([plans[k] for k in closed], r1 - r0, ns.size,
+                                             est_v, truth, bounds)
     for chain in chains:
         contradicted = np.ones(r1 - r0, dtype=bool)
         for k, tables, (a, b) in chain:
@@ -563,17 +549,6 @@ def _bernoulli_chunk(plans, chains, r0, r1):
 # plans and tables
 # ---------------------------------------------------------------------------
 
-_KERNELS = {Model.NORMAL_KNOWN_VAR: (_sizes, _normal_chunk),
-            Model.BERNOULLI: (_bernoulli_setup, _bernoulli_chunk),
-            Model.TWO_BERNOULLI: (_sizes, _two_bernoulli_chunk)}
-
-
-def _kernel_counts(groups, threads: int) -> list:
-    """(contradicted, noncovered) counts per plan of each group of plans sharing data
-    streams: each group's serial set-up and its chunks, by one _map_chunks call."""
-    return _map_chunks([(*_KERNELS[group[0].model], group) for group in groups], threads)
-
-
 def _run_plans(table: str, plans, threads: int) -> list:
     """One report row per plan; each run of consecutive plans sharing data streams
     is one kernel group (grouped in order, since a list truth is no dict key)."""
@@ -582,7 +557,7 @@ def _run_plans(table: str, plans, threads: int) -> list:
     groups = [list(g) for _, g in itertools.groupby(plans, key=lambda p: (
         p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq))]
     return [_report_row(table, plan, cnt) for group, counts in
-            zip(groups, _kernel_counts(groups, threads)) for plan, cnt in zip(group, counts)]
+            zip(groups, _map_chunks(groups, threads)) for plan, cnt in zip(group, counts)]
 
 
 def _report_row(table: str, plan: SequencePlan, counts) -> ReportRow:

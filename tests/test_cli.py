@@ -140,6 +140,22 @@ class TestIntervalCommand:
         assert out == ""
         assert "must be finite" in err and ("ybar" in err or "sigma_hat_sq" in err)
 
+    @pytest.mark.parametrize("rule, stat, message", [
+        (["--rule", "nig", "--weight", "nig:1,8,2,1"], ["--n", "10", "--sigma2hat", "0"],
+         "strictly positive sigma_hat_sq"),
+        (["--rule", "approx", "--weight", "normal:0,1"], ["--n", "10", "--sigma2hat", "0"],
+         "strictly positive sigma_hat_sq"),
+        (["--rule", "nig", "--weight", "nig:1,8,2,1"], ["--n", "1", "--sigma2hat", "0.5"],
+         "--n >= 2"),
+    ], ids=["nig-zero-sigma2hat", "approx-zero-sigma2hat", "nig-n-1"])
+    def test_degenerate_unknown_variance_statistic_is_a_usage_error(self, capsys, rule, stat,
+                                                                      message):
+        # once exit 1, the runtime failure code
+        rc, out, err = run(capsys, "interval", "--model", "normal", "--ybar", "0", *rule, *stat)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("sigma2", ["inf", "nan", "0", "-1"])
     @pytest.mark.parametrize("rule", [["--rule", "exact", "--weight", "normal:0,1"],
                                       ["--rule", "classical", "--conf", "0.9"]],

@@ -653,6 +653,22 @@ class TestChainPruning:
                 assert contra == sorted(contra, reverse=True), (w, chain)
                 assert contra[0] > contra[1], (w, chain)
 
+    @pytest.mark.parametrize("width", [1, simulation.TILE_COLS])
+    def test_mixed_rules_on_one_draw_match_plans_run_alone(self, monkeypatch, width):
+        # one chunk step flags the closed-form (arcsine) and the level-set (exact,
+        # likelihood-ratio) plans of a group on the same success counts
+        monkeypatch.setattr(simulation, "TILE_COLS", width)
+        base = dict(model=Model.BERNOULLI, truth=0.3, n_min=5, n_max=400, reps=150, seed=23)
+        arc, beta = NormalWeight(0.8, 0.4), BetaWeight(1.0, 1.0)
+        plans = [SequencePlan(rule=rule, level=level, weight=w, **base) for rule, level, w in (
+            (Rule.ROBBINS_APPROX, 0.2, arc), (Rule.LIKELIHOOD_RATIO, 0.95, None),
+            (Rule.ROBBINS_EXACT, 0.1, beta), (Rule.ROBBINS_APPROX, 0.05, arc),
+            (Rule.ROBBINS_EXACT, 0.5, beta), (Rule.LIKELIHOOD_RATIO, 0.9, None))]
+        rows = simulation._run_plans("-", plans, threads=1)
+        assert rows == [run_plan(plan) for plan in plans]
+        assert all(0 < r.noncoverages_pct < 100 for r in rows), rows
+        assert len({(r.contradictions_pct, r.noncoverages_pct) for r in rows}) == len(rows)
+
     @pytest.mark.parametrize("theta, weight", [
         (0.02, NormalWeight(1.5, 0.05)), (0.98, NormalWeight(0.0, 0.05)),
         (0.02, NormalWeight(0.1, 1.0)), (0.98, NormalWeight(1.5, 1.0))])
