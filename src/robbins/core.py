@@ -97,8 +97,9 @@ class BetaWeight:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError(f"beta weight parameters must be positive, got ({self.alpha}, {self.beta})")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise ValueError("beta weight parameters must be positive and finite, "
+                             f"got ({self.alpha}, {self.beta})")
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,11 @@ class NormalInverseGamma:
     beta0: float
 
     def __post_init__(self):
+        if not math.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
         for name in ("kappa0", "alpha0", "beta0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

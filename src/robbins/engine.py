@@ -339,21 +339,22 @@ class VilleCheckResult:
 
 
 def _kernel_plan(path, k, n_max, reps, seed):
-    """The exact-rule cell at level 1/k from n = 1 that counts the crossings, or None
-    (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge within the
-    kernel's margin of log k, where its strict count may differ from the loop's >= at a tie."""
-    from .simulation import Model, Rule, SequencePlan, _bands, _excess, _log_ratio_tables
+    """(plan, simulation._setup) of the exact-rule cell at level 1/k from n = 1 that counts the
+    crossings, or None (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge
+    within the kernel's margin of log k, where its strict count may differ from the loop's >=."""
+    from .simulation import Model, Rule, SequencePlan, _excess, _setup
     if not (isinstance(path, LogRatioPath) and n_max <= 20_000):    # chunk <= 39 MiB
         return None
     plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k,
                         path.weight, 1, n_max, reps, seed, path.sigma0_sq)
+    ns, chains = setup = _setup([plan])
     if plan.model == Model.BERNOULLI:
-        ns, j = np.arange(1, n_max + 1), np.tile(np.arange(n_max), 4)
-        a, b = _bands(plan, ns, plan.truth, tables := _log_ratio_tables(plan, ns))
+        [[(_, tables, band)]], j = chains, np.tile(np.arange(n_max), 4)
+        a, b = band.astype(np.intp)        # stored unsigned: a - 1 would wrap at 0
         s = np.clip(np.concatenate([a - 1, a, b, b + 1]), 0, ns[j])
         if np.any(np.abs(_excess(tables, ns, np.array([path.truth]))(0, s, j)) <= tables[3][j]):
             return None
-    return plan
+    return plan, setup
 
 
 def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int], np.ndarray],
@@ -372,14 +373,15 @@ def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int],
     (counted at 16, not 2); q_2/p_2 = 4/3 exceeds the float 4/3, yet its float log-ratio rounds
     below log k and is missed.  These three take the loop.
     """
-    from .simulation import _map_chunks, replication_rng
+    from .simulation import _chunk, _slices, replication_rng
     if not 1.0 < k < math.inf:
         raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
-    if (plan := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
-        crossings = int(_map_chunks([[plan]], 1)[0][0][1])
+    if (kernel := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
+        plan, setup = kernel
+        crossings = sum(int(_chunk([plan], setup, r0, r1)[0][1]) for r0, r1 in _slices(plan))
     else:
         log_k, crossings = math.log(k), 0
         for r in range(reps):

@@ -10,8 +10,8 @@ max/min across tiles.  Every sample size in [n_min, n_max] is monitored.
 Determinism contract
 --------------------
 Replication r of a run with master seed s draws from the counter-based stream
-Philox(key=(s, r)); see replication_rng.  Work is partitioned into fixed-size
-chunks of replications whose integer tallies are summed in chunk order, so
+Philox(key=(s, r)); see replication_rng.  Work is partitioned into chunks of
+replications, fixed by reps and n_max, whose integer tallies are summed in chunk order, so
 results are bit-identical for any count of worker processes (threads; see
 _map_chunks).  A chunk draws in row blocks of at most STREAM_CELLS cells with one
 Philox of its own, re-keyed to (s, r) at a fresh state per row, so each row is the
@@ -27,6 +27,8 @@ Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
 Consecutive plans sharing their data streams form one kernel group, run alike for every
 model: a serial _setup, then per chunk a module-level _chunk(plans, set-up, r0, r1) that
 draws once (_draw) and flags each plan, so a cell equals its plan run alone by run_plan.
+A chunk has CHUNK_REPS rows while n_max <= 32 768 (every bundled table); beyond, its rows
+shrink as 1/n_max, so a chunk holds at most 32 STREAM_CELLS cells per statistic (_slices).
 
 The kernels call the scalar rules' own formulas, array-valued in the model modules:
 the mixture half-width (engine), corrected log-odds (two_bernoulli), arcsine back-map
@@ -37,19 +39,17 @@ binomial_level_set decides a probe within rounding of the threshold); a chunk is
 flagged by integer compares against the bands, and endpoints are solved only where
 a contradiction depends on them (_level_set_flags).
 
-Closed-form plans of one kernel group sharing a weight (or having none) form a
-chain, ordered by the scalar c that sets the half-width (z, or -2 log eps);
-_closed_form_counts runs round k on the k-th plan of every chain, a later plan scanning
-only the replications its predecessor left noncovered.  No bit moves: rounding is
-monotone, so each step of d and est +/- d keeps the order of c, and a replication
-covered at one level is covered, and not contradicted, at every wider one.  The
-arcsine rule maps the reduced endpoints to theta, exact as x -> sin(max(x, 0))^2
-never decreases in floating point on [0, pi/2] (a test checks it).
-The level-set plans of one weight chain likewise by their threshold c (_threshold),
-a later plan seeking one-sided contradictions only in the rows its predecessor
-contradicted.  No bit moves: the level sets {theta : l(theta) >= log eps + log q_n}
-grow as eps falls (the LR sets as conf rises), so a replication contradicted at a
-wider level is contradicted at every narrower one, and each row's search is its own.
+The plans of one kind (closed form or level set) and weight (or none) form a chain,
+narrowest first by the width constant c (_threshold); each later plan flags only the
+rows its predecessor passes on, and no bit moves.  A closed-form plan scans the rows its
+predecessor left noncovered: rounding is monotone, so each step of d and est +/- d keeps
+the order of c, and a replication covered at one level is covered, and not contradicted,
+at every wider one (the arcsine rule maps the reduced endpoints to theta, exact as
+x -> sin(max(x, 0))^2 never decreases in floating point on [0, pi/2]; a test checks it).
+A level-set plan seeks one-sided contradictions only in the rows its predecessor
+contradicted: the level sets {theta : l(theta) >= log eps + log q_n} grow as eps falls
+(the LR sets as conf rises), so a replication contradicted at a wider level is
+contradicted at every narrower one.
 """
 
 from __future__ import annotations
@@ -256,15 +256,22 @@ def _fmt(x: float) -> str:
 # chunked execution
 # ---------------------------------------------------------------------------
 
+def _slices(plan) -> list:
+    """The fixed replication slices [r0, r1) of the plan's chunks: CHUNK_REPS rows up to n_max
+    32 768, fewer beyond, so a chunk holds at most 32 STREAM_CELLS cells per statistic."""
+    step = min(CHUNK_REPS, max(1, 32 * STREAM_CELLS // plan.n_max))
+    return [(r0, min(r0 + step, plan.reps)) for r0 in range(0, plan.reps, step)]
+
+
 def _map_chunks(groups, threads: int) -> list:
     """Counts of each group of plans: _chunk(plans, _setup(plans), r0, r1) summed over the
-    fixed slices [r0, r1) of range(plans[0].reps), CHUNK_REPS each, in slice order, so
-    identical for any worker count.  threads=1 or a single chunk runs in-process; else a
-    pool of min(threads, chunks, cpu count) worker processes (forked where the platform
-    offers fork, else spawned) takes each group's chunks as soon as its set-up is built,
-    and is shut down before returning, also when a set-up or chunk raises."""
-    starts = [range(0, plans[0].reps, CHUNK_REPS) for plans in groups]
-    pool, workers = None, min(threads, sum(map(len, starts)), os.cpu_count() or 1)
+    fixed _slices [r0, r1) of plans[0], in slice order, so identical for any worker count.
+    threads=1 or a single chunk runs in-process; else a pool of min(threads, chunks, cpu
+    count) worker processes (forked where the platform offers fork, else spawned) takes
+    each group's chunks as soon as its set-up is built, and is shut down before returning,
+    also when a set-up or chunk raises."""
+    slices = [_slices(plans[0]) for plans in groups]
+    pool, workers = None, min(threads, sum(map(len, slices)), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -273,9 +280,9 @@ def _map_chunks(groups, threads: int) -> list:
         pool = ProcessPoolExecutor(workers, mp_context=ctx)
     try:
         results = []
-        for plans, r0s in zip(groups, starts):
+        for plans, group_slices in zip(groups, slices):
             setup, run = _setup(plans), functools.partial(pool.submit, _chunk) if pool else _chunk
-            results.append([run(plans, setup, r0, min(r0 + CHUNK_REPS, r0s.stop)) for r0 in r0s])
+            results.append([run(plans, setup, r0, r1) for r0, r1 in group_slices])
         return [_tally([r.result() if pool else r for r in rs]) for rs in results]
     finally:
         if pool:
@@ -293,48 +300,25 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
 # closed-form rules (normal, two-bernoulli, arcsine)
 # ---------------------------------------------------------------------------
 
-def _closed_form_counts(plans, m, ncols, est_v, truth, bounds=None) -> np.ndarray:
-    """(contradicted, noncovered) counts per plan, shape (nplans, 2), of est +/- d on a
-    chunk of m replications monitored at ncols sample sizes, est_v(j0, j1, rows) giving
-    the estimates and variances of the rows on the columns [j0, j1) of one fixed
-    TILE_COLS-wide tile: d = c sqrt(v) for a fixed-level rule, c = ndtri((1 + conf)/2),
-    else engine._half_width at c = -2 log eps.  Plans sharing a weight form one chain,
-    ordered by c; round k scans the k-th plan of each chain on the rows its predecessor
-    flagged noncovered (all rows, and one est_v call per tile, in round 0).  The running
-    max of lower and min of upper endpoints are carried across the tiles, mapped to the
-    parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
-    c = [float(ndtri(0.5 * (1.0 + p.level))) if p.weight is None else -2.0 * math.log(p.level)
-         for p in plans]
-    chains = {}
-    for k in sorted(range(len(plans)), key=c.__getitem__):
-        chains.setdefault(plans[k].weight, []).append(k)
-    chains = list(chains.values())
-    counts = np.zeros((len(plans), 2), dtype=np.int64)
-    rows = [np.arange(m)] * len(chains)
-    for rnd in range(max(map(len, chains))):
-        live = [i for i, ch in enumerate(chains) if rnd < len(ch) and rows[i].size]
-        maxlo = [np.full(rows[i].size, -np.inf) for i in live]
-        minup = [np.full(lo.size, np.inf) for lo in maxlo]
-        for j0 in range(0, ncols, TILE_COLS):
-            tile = rnd == 0 and est_v(j0, j0 + TILE_COLS, slice(None))   # shared by the chains
-            for i, lo, up in zip(live, maxlo, minup):
-                est, v = tile or est_v(j0, j0 + TILE_COLS, rows[i])
-                k = chains[i][rnd]
-                if (w := plans[k].weight) is None:
-                    d = c[k] * np.sqrt(v)
-                    lower, upper = est - d, est + d
-                else:
-                    d = _half_width(v, est, w, c[k])
-                    lower, upper = est - d, np.add(d, est, out=d)
-                np.maximum(lo, lower.max(axis=1), out=lo)
-                np.minimum(up, upper.min(axis=1), out=up)
-        for i, lo, up in zip(live, maxlo, minup):
-            if bounds is not None:
-                lo, up = bounds(lo, up)
-            noncov = (lo > truth) | (up < truth)
-            counts[chains[i][rnd]] = np.count_nonzero(lo > up), np.count_nonzero(noncov)
-            rows[i] = rows[i][noncov]
-    return counts
+def _closed_form_flags(plan, c, ncols, est_v, truth, bounds, prior):
+    """((contradicted, noncovered) counts, noncovered mask) of est +/- d on a chunk monitored
+    at ncols sample sizes, on the rows prior holds (slice(None) for all, so tiles are views):
+    est_v(j0, j1, rows) gives their estimates and variances on the columns [j0, j1) of one
+    TILE_COLS-wide tile, and d = c sqrt(v) (fixed-level rules) or engine._half_width at c.
+    The running max of lower and min of upper endpoints are carried across the tiles, mapped
+    to the parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
+    rows = slice(None) if prior.all() else np.flatnonzero(prior)
+    lo, up = np.full((2, np.count_nonzero(prior)), [[-np.inf], [np.inf]])
+    for j0 in range(0, ncols, TILE_COLS):
+        est, v = est_v(j0, j0 + TILE_COLS, rows)
+        d = c * np.sqrt(v) if plan.weight is None else _half_width(v, est, plan.weight, c)
+        np.maximum(lo, (est - d).max(axis=1), out=lo)
+        np.minimum(up, (est + d).min(axis=1), out=up)
+    if bounds is not None:
+        lo, up = bounds(lo, up)
+    noncovered = np.zeros_like(prior)
+    noncovered[rows] = (lo > truth) | (up < truth)
+    return (np.count_nonzero(lo > up), np.count_nonzero(noncovered)), noncovered
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +344,18 @@ def _weight_tables(weights, ns) -> dict:
         for w in weights}
 
 
+def _level_set(plan) -> bool:
+    """Whether the plan's rule is flagged on level sets (Bernoulli exact, likelihood ratio)."""
+    return plan.model == Model.BERNOULLI and plan.rule != Rule.ROBBINS_APPROX
+
+
 def _threshold(plan) -> float:
-    """c of _log_ratio_tables: -log eps (exact rule), chi2_{1,conf}/2 (likelihood ratio)."""
-    return _level_set_drop(None, plan.level) if plan.weight is None else -math.log(plan.level)
+    """The plan's width constant c, rising with the width: -log eps or chi2_{1,conf}/2 of
+    _log_ratio_tables (level sets), -2 log eps or z = ndtri((1 + conf)/2) (closed forms)."""
+    level_set, level = _level_set(plan), plan.level
+    if plan.weight is None:
+        return _level_set_drop(None, level) if level_set else float(ndtri(0.5 * (1.0 + level)))
+    return -math.log(level) if level_set else -2.0 * math.log(level)
 
 
 def _log_ratio_tables(plan, ns, shared=None):
@@ -421,16 +414,16 @@ def _bands(plan, ns, theta, tables):
     return a, b - 1
 
 
-def _level_set_flags(plan, sc, ns, a, b, tables, prior):
+def _level_set_flags(plan, sc, ns, tables, band, prior):
     """((contradicted, noncovered) counts, contradicted mask) of a level-set plan on a
-    chunk of counts sc (replications x ns) with band [a, b] and _log_ratio_tables.  A
+    chunk of counts sc (replications x ns) with _log_ratio_tables and band [a, b].  A
     row leaving the band is noncovered, and contradicted if it leaves on both sides, or
     below only and some lower endpoint exceeds U*, the least upper endpoint at its
     violating looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts
     as the endpoint at the look of largest relative deficit and is lowered where
     stat(U*) does not clear c.  A one-sided row is searched only if prior holds it: the
     contradicted mask of the plan's predecessor in its chain (all rows for the first)."""
-    margin = tables[3]
+    (a, b), margin = band, tables[3]
     low, high = sc < a, sc > b
     below, above = low.any(axis=1), high.any(axis=1)
     contradicted = below & above
@@ -472,26 +465,29 @@ def _level_set_flags(plan, sc, ns, a, b, tables, prior):
 # ---------------------------------------------------------------------------
 
 def _setup(plans):
-    """(ns, chains): the monitored sample sizes, and per weight the chain of the group's
-    level-set plans (Bernoulli exact and likelihood-ratio rules), narrowest first (by
-    _threshold): (k, _log_ratio_tables, band) per plans[k], the weight's tables shared by
-    its plans.  The plans share the model, truth, range, reps, seed and sigma0_sq."""
-    p = plans[0]
+    """(ns, chains): the monitored sample sizes, and per kind (closed form or _level_set)
+    and weight the chain of the group's plans, narrowest first (_threshold): (k, c) per
+    closed-form plans[k], (k, _log_ratio_tables, band) per level-set one, the weight's tables
+    shared by its plans.  The plans share the model, truth, range, reps, seed and sigma0_sq."""
+    p, chains = plans[0], {}
     ns = np.arange(p.n_min, p.n_max + 1)
-    ks = sorted((k for k, pl in enumerate(plans)
-                 if pl.model == Model.BERNOULLI and pl.rule != Rule.ROBBINS_APPROX),
-                key=lambda k: _threshold(plans[k]))
-    shared, chains = _weight_tables({plans[k].weight for k in ks}, ns) if ks else {}, {}
-    for k in ks:
-        tables = _log_ratio_tables(plans[k], ns, shared)
-        band = np.array(_bands(plans[k], ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
-        chains.setdefault(plans[k].weight, []).append((k, tables, band))
+    c = [_threshold(pl) for pl in plans]
+    weights = {pl.weight for pl in plans if _level_set(pl)}
+    shared = _weight_tables(weights, ns) if weights else {}
+    for k in sorted(range(len(plans)), key=c.__getitem__):
+        if level_set := _level_set(pl := plans[k]):
+            tables = _log_ratio_tables(pl, ns, shared)
+            band = np.array(_bands(pl, ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
+            link = k, tables, band
+        else:
+            link = k, c[k]
+        chains.setdefault((level_set, pl.weight), []).append(link)
     return ns, list(chains.values())
 
 
 def _draw(plan, ns, r0, r1):
     """(est_v, truth, bounds, counts) of replications r0..r1-1, the statistics the plan's
-    model monitors at ns: est_v, truth and bounds as _closed_form_counts takes them, and
+    model monitors at ns: est_v, truth and bounds as _closed_form_flags takes them, and
     the success counts (replications x ns) of the Bernoulli model (else None).  Normal:
     running means; two-Bernoulli: the paired corrected log-odds (estimate over s1,
     variance over s2), the log-odds ratio as truth; Bernoulli: the arcsine estimates,
@@ -528,20 +524,18 @@ def _draw(plan, ns, r0, r1):
 
 
 def _chunk(plans, setup, r0, r1):
-    """(contradicted, noncovered) counts per plan on replications r0..r1-1, in one pass:
-    one _draw, the closed-form plans flagged by _closed_form_counts and each chain of
-    level-set plans by _level_set_flags, on the set-up (ns, chains) of _setup."""
+    """(contradicted, noncovered) counts per plan on replications r0..r1-1: one _draw, then per
+    chain of _setup's (ns, chains) each link flags the rows its predecessor passes on (all for
+    the first): the noncovered ones of _closed_form_flags, the contradicted of _level_set_flags."""
     ns, chains = setup
     est_v, truth, bounds, sc = _draw(plans[0], ns, r0, r1)
     counts = np.zeros((len(plans), 2), dtype=np.int64)
-    level_set = {k for chain in chains for k, *_ in chain}
-    if closed := [k for k in range(len(plans)) if k not in level_set]:
-        counts[closed] = _closed_form_counts([plans[k] for k in closed], r1 - r0, ns.size,
-                                             est_v, truth, bounds)
     for chain in chains:
-        contradicted = np.ones(r1 - r0, dtype=bool)
-        for k, tables, (a, b) in chain:
-            counts[k], contradicted = _level_set_flags(plans[k], sc, ns, a, b, tables, contradicted)
+        prior = np.ones(r1 - r0, dtype=bool)
+        for k, *link in chain:
+            counts[k], prior = (
+                _level_set_flags(plans[k], sc, ns, *link, prior) if _level_set(plans[k]) else
+                _closed_form_flags(plans[k], *link, ns.size, est_v, truth, bounds, prior))
     return counts
 
 

@@ -109,6 +109,17 @@ class TestIntervalCommand:
         assert rc == 2
         assert "--weight" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "bernoulli", "--n", "100", "--s", "40", "--weight", "beta:inf,1"],
+        ["--model", "normal", "--rule", "nig", "--n", "100", "--ybar", "0.3",
+         "--sigma2hat", "1", "--weight", "nig:nan,1,2,1"]], ids=["beta-inf", "nig-nan-mu0"])
+    def test_non_finite_weight_is_a_usage_error(self, capsys, argv):
+        # once exit 1, with invalid level-set or interval endpoints
+        rc, out, err = run(capsys, "interval", *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: --weight: ") and "finite" in err
+
     def test_json_format_echoes_defaults(self, capsys):
         rc, out, _ = run(capsys, "interval", "--model", "bernoulli", "--n", "100",
                          "--s", "40", "--weight", "beta:0.5,0.5", "--format", "json")

@@ -63,6 +63,21 @@ class TestWeights:
         with pytest.raises(ValueError):
             NormalWeight(mu0, tau0_sq)
 
+    @pytest.mark.parametrize("make", [
+        lambda: BetaWeight(math.inf, 1.0), lambda: BetaWeight(1.0, math.inf),
+        lambda: BetaWeight(math.nan, 1.0),
+        lambda: NormalInverseGamma(math.nan, 1.0, 2.0, 1.0),
+        lambda: NormalInverseGamma(-math.inf, 1.0, 2.0, 1.0),
+        lambda: NormalInverseGamma(0.0, math.inf, 2.0, 1.0),
+        lambda: NormalInverseGamma(0.0, 1.0, math.inf, 1.0),
+        lambda: NormalInverseGamma(0.0, 1.0, 2.0, math.inf)],
+        ids=["beta-inf-alpha", "beta-inf-beta", "beta-nan-alpha", "nig-nan-mu0",
+             "nig-inf-mu0", "nig-inf-kappa0", "nig-inf-alpha0", "nig-inf-beta0"])
+    def test_beta_and_nig_weights_finite(self, make):
+        # Beta(inf, 1) gave NaN level-set endpoints, a NaN nig mu0 NaN interval endpoints
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_valid(self):
         NormalWeight(-3.0, 2.5)
         BetaWeight(0.5, 0.5)

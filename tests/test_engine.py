@@ -360,6 +360,18 @@ class TestVille:
         assert engine._kernel_plan(tied, 16.0, 6, 400, 1) is not None
         assert engine._kernel_plan(tied, 16.0, 7, 400, 1) is None
 
+    @pytest.mark.parametrize("theta, weight, n_max", [(0.3, BetaWeight(1.0, 1.0), 4000),
+                                                      (0.5, BetaWeight(1.0, 1.0), 7)],
+                             ids=["kernel", "tie-loop"])
+    def test_bernoulli_band_computed_once(self, monkeypatch, theta, weight, n_max):
+        # the tie scan reads the band of the kernel's own set-up
+        from robbins import simulation
+        calls, bands = [], simulation._bands
+        monkeypatch.setattr(simulation, "_bands", lambda *args: calls.append(1) or bands(*args))
+        path = bernoulli.ville_log_ratio_path(theta, weight)
+        verify_ville_inequality(path, k=16.0, n_max=n_max, reps=300, seed=42)
+        assert len(calls) == 1
+
     def test_kernel_route_equals_loop_over_many_chunks(self):
         for path in (normal.ville_log_ratio_path(0.5, 2.0, NormalWeight(1.0, 2.0)),
                      bernoulli.ville_log_ratio_path(0.7, BetaWeight(0.5, 0.5))):

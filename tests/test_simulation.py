@@ -584,6 +584,23 @@ class TestBoundedMemory:
             tracemalloc.stop()
         assert peak < 16.0
 
+    def test_chunk_rows_shrink_past_n_max_32768(self):
+        # 256 rows of 100 000 float64 running sums were 195 MiB per chunk (200 MiB
+        # traced); the rows now shrink as 1/n_max, to 83 here
+        plan = SequencePlan(model=Model.NORMAL_KNOWN_VAR, truth=0.0, rule=Rule.ROBBINS_EXACT,
+                            level=0.1, weight=NormalWeight(0.5, 1.0), n_min=10,
+                            n_max=100_000, reps=256, seed=3)
+        peaks = []
+        for reps in (256, 512):
+            tracemalloc.start()
+            try:
+                run_plan(dataclasses.replace(plan, reps=reps))
+                peaks.append(tracemalloc.get_traced_memory()[1] / 2 ** 20)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0] and max(peaks) < 80, peaks
+        assert [r1 - r0 for r0, r1 in simulation._slices(plan)] == [83, 83, 83, 7]
+
     @staticmethod
     def check_peaks(run):
         peaks = []
