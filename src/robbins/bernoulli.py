@@ -197,9 +197,15 @@ def arcsine_approx_interval(stat: BernoulliSuffStat, weight_on_omega: NormalWeig
     omega_hat = arcsin(sqrt(s/n)) is approximately N(omega(theta), 1/(4n)); the
     closed-form half-width applies with variance proxy 1/4, and the omega
     interval is clipped to [0, pi/2] before the back-transform sin^2."""
-    omega_hat = asin(sqrt(stat.mle))
+    omega_hat = _arcsine_estimate(stat.s, stat.n)
     d = closed_form_half_width(0.25, stat.n, omega_hat, weight_on_omega, level)
     return Interval(*_arcsine_back_map(omega_hat - d, omega_hat + d))
+
+
+def _arcsine_estimate(s, n):
+    """omega_hat = arcsin(sqrt(s/n)); numpy for arrays, else math."""
+    p = s / n
+    return np.arcsin(np.sqrt(p)) if isinstance(p, np.ndarray) else asin(sqrt(p))
 
 
 def _arcsine_back_map(lower, upper):

@@ -24,7 +24,8 @@ import sys
 from . import __version__, bernoulli, engine, normal, simulation, two_bernoulli
 from .core import (BetaWeight, LogOddsJeffreysInduced, NormalInverseGamma, NormalWeight,
                    PersistenceLevel, _require_sigma0_sq)
-from .simulation import Model, Rule, SequencePlan, compare_to_reference, reproduce_table, run_plan
+from .simulation import (_WEIGHT_FAMILY, Model, Rule, SequencePlan, compare_to_reference,
+                         reproduce_table, run_plan)
 
 DEFAULT_EPSILON = 0.2
 DEFAULT_REPS = 10_000
@@ -45,6 +46,12 @@ def _default_seed() -> int:
         raise CliError(f"ROBBINS_SEED must be an integer, got {raw!r}")
 
 
+# --weight families: the weight type and its parameter names
+_FAMILIES = {"normal": (NormalWeight, ("mu0", "tau0sq")), "beta": (BetaWeight, ("alpha", "beta")),
+             "nig": (NormalInverseGamma, ("mu0", "kappa0", "alpha0", "beta0")),
+             "logodds": (LogOddsJeffreysInduced, ())}
+
+
 def parse_weight(spec: str):
     """Parse family:p1,p2[,p3,p4] into a weight object."""
     family, _, rest = spec.partition(":")
@@ -53,49 +60,36 @@ def parse_weight(spec: str):
         params = [float(x) for x in rest.split(",") if x.strip() != ""]
     except ValueError:
         raise CliError(f"--weight: non-numeric parameter in {spec!r}")
-    try:
-        if family == "normal":
-            if len(params) != 2:
-                raise CliError(f"--weight normal takes mu0,tau0sq; got {len(params)} values")
-            return NormalWeight(*params)
-        if family == "beta":
-            if len(params) != 2:
-                raise CliError(f"--weight beta takes alpha,beta; got {len(params)} values")
-            return BetaWeight(*params)
-        if family == "nig":
-            if len(params) != 4:
-                raise CliError(f"--weight nig takes mu0,kappa0,alpha0,beta0; got {len(params)} values")
-            return NormalInverseGamma(*params)
-        if family == "logodds":
-            if params:
-                raise CliError("--weight logodds takes no parameters")
-            return LogOddsJeffreysInduced()
-    except ValueError as exc:            # invalid weight parameters
-        raise CliError(f"--weight: {exc}")
-    raise CliError(f"--weight: unknown family {family!r} "
-                   "(expected normal | beta | nig | logodds)")
+    if family not in _FAMILIES:
+        raise CliError(f"--weight: unknown family {family!r} (expected {' | '.join(_FAMILIES)})")
+    cls, names = _FAMILIES[family]
+    if len(params) != len(names):
+        raise CliError(f"--weight {family} takes {','.join(names)}; got {len(params)} values"
+                       if names else f"--weight {family} takes no parameters")
+    return _stat(cls, *params, context="--weight: ")
+
+
+def _values(args, names):
+    return [getattr(args, name.lstrip("-").replace("-", "_")) for name in names]
 
 
 def _require(args, names, context):
-    for name in names:
-        if getattr(args, name.lstrip("-").replace("-", "_"), None) is None:
+    for name, value in zip(names, _values(args, names)):
+        if value is None:
             raise CliError(f"{context} requires {name}")
 
 
-def _stat(cls, *values):
-    """The sufficient statistic (or check) of the given options; invalid values are a usage error."""
+def _stat(cls, *values, context=""):
+    """cls(*values): a statistic, weight, level or check; invalid values are a usage error."""
     try:
         return cls(*values)
     except ValueError as exc:
-        raise CliError(str(exc))
+        raise CliError(f"{context}{exc}")
 
 
 def _level(args) -> PersistenceLevel:
     eps = args.epsilon if args.epsilon is not None else DEFAULT_EPSILON
-    try:
-        return PersistenceLevel(eps)
-    except ValueError as exc:
-        raise CliError(f"--epsilon: {exc}")
+    return _stat(PersistenceLevel, eps, context="--epsilon: ")
 
 
 def _conf(args) -> float:
@@ -110,134 +104,106 @@ def _conf(args) -> float:
 # interval
 # ---------------------------------------------------------------------------
 
-def _interval_normal(args):
-    _require(args, ["--n", "--ybar"], "model normal")
-    rule = args.rule or "exact"
-    meta = {}
-    if rule == "classical":
-        _require(args, ["--sigma2"], "rule classical")
-        _stat(_require_sigma0_sq, args.sigma2)
-        stat = _stat(normal.NormalSuffStat, args.n, args.ybar)
-        iv = normal.classical_interval(stat, args.sigma2, _conf(args))
-        meta["conf"] = _conf(args)
-    elif rule == "exact":
-        _require(args, ["--sigma2", "--weight"], "rule exact")
-        _stat(_require_sigma0_sq, args.sigma2)
-        w = _expect_weight(args, NormalWeight)
-        level = _level(args)
-        stat = _stat(normal.NormalSuffStat, args.n, args.ybar)
-        iv = normal.robbins_interval_known_var(stat, args.sigma2, w, level)
-        meta["epsilon"] = level.epsilon
-        meta["threshold"] = level.log_epsilon + normal.exact_log_mixture(
-            stat, args.sigma2, w).value
-    elif rule == "nig":
-        _require(args, ["--sigma2hat", "--weight"], "rule nig")
-        w = _expect_weight(args, NormalInverseGamma)
-        level = _level(args)
-        stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
-        _stat(stat._require_variance)
-        if stat.n < 2:
-            raise CliError(f"rule nig requires --n >= 2, got {stat.n}")
-        iv = normal.nig_profile_interval(stat, w, level)
-        meta["epsilon"] = level.epsilon
-        meta["threshold"] = level.log_epsilon + normal.nig_log_marginal(stat, w)
-    elif rule == "approx":
-        _require(args, ["--sigma2hat", "--weight"], "rule approx")
-        w = _expect_weight(args, NormalWeight)
-        level = _level(args)
-        stat = _stat(normal.NormalSuffStat, args.n, args.ybar, args.sigma2hat)
-        _stat(stat._require_variance)
-        iv = normal.approx_interval_unknown_var(stat, w, level)
-        meta["epsilon"] = level.epsilon
-    else:
-        raise CliError(f"--rule {rule!r} is not valid for model normal "
-                       "(classical | exact | nig | approx)")
-    return iv, meta
+# each model's statistic type and options; normal reads its statistic after the rule's weight and
+# level, with a positive --sigma2hat for the unknown-variance rules, the others before the rule
+_MODELS = {"normal": (normal.NormalSuffStat, ("--n", "--ybar"), ("--sigma2hat",)),
+           "bernoulli": (bernoulli.BernoulliSuffStat, ("--n", "--s"), None),
+           "two-bernoulli": (two_bernoulli.TwoSampleStat, ("--n1", "--n2", "--s1", "--s2"), None)}
 
 
-def _interval_bernoulli(args):
-    _require(args, ["--n", "--s"], "model bernoulli")
-    stat = _stat(bernoulli.BernoulliSuffStat, args.n, args.s)
-    rule = args.rule or "exact"
-    meta = {}
-    if rule == "exact":
-        _require(args, ["--weight"], "rule exact")
-        w = _expect_weight(args, BetaWeight)
-        level = _level(args)
-        iv = bernoulli.robbins_interval_bernoulli(stat, w, level)
-        meta["epsilon"] = level.epsilon
-        meta["threshold"] = level.log_epsilon + bernoulli.beta_binomial_log_pmf(stat, w)
-    elif rule == "lr":
-        iv = bernoulli.lr_interval(stat, _conf(args))
-        meta["conf"] = _conf(args)
-    elif rule == "approx":
-        _require(args, ["--weight"], "rule approx")
-        w = args.weight
-        if isinstance(w, BetaWeight):
-            w = bernoulli.omega_weight_from_beta(w)
-        elif not isinstance(w, NormalWeight):
-            raise CliError("--weight: rule approx takes a normal weight on the arcsine "
-                           "scale, or a beta weight to be moment-matched")
-        level = _level(args)
-        iv = bernoulli.arcsine_approx_interval(stat, w, level)
-        meta["epsilon"] = level.epsilon
-        meta["omega_weight"] = f"normal:{w.mu0:g},{w.tau0_sq:g}"
-    else:
-        raise CliError(f"--rule {rule!r} is not valid for model bernoulli (exact | lr | approx)")
-    return iv, meta
+def _nig(stat, w, level, args):
+    if stat.n < 2:
+        raise CliError(f"rule nig requires --n >= 2, got {stat.n}")
+    return normal.nig_profile_interval(stat, w, level), {
+        "threshold": level.log_epsilon + normal.nig_log_marginal(stat, w)}
 
 
-def _interval_two_bernoulli(args):
-    _require(args, ["--n1", "--n2", "--s1", "--s2"], "model two-bernoulli")
-    stat = _stat(two_bernoulli.TwoSampleStat, args.n1, args.n2, args.s1, args.s2)
-    rule = args.rule or "exact"
-    meta = {}
-    if rule == "exact":
-        if args.weight is not None and not isinstance(args.weight, LogOddsJeffreysInduced):
-            raise CliError("--weight: the exact conditional rule uses the built-in "
-                           "log-odds weight (logodds)")
-        level = _level(args)
-        iv, log_qn = two_bernoulli._conditional_region(stat, level)
-        meta["epsilon"] = level.epsilon
-        meta["threshold"] = level.log_epsilon + log_qn.value
-        meta["mixture_rel_error"] = log_qn.rel_error
-    elif rule == "approx":
-        _require(args, ["--weight"], "rule approx")
-        w = _expect_weight(args, NormalWeight)
-        level = _level(args)
-        iv = two_bernoulli.approx_interval_log_odds(stat, w, level)
-        meta["epsilon"] = level.epsilon
-    elif rule == "wald":
-        iv = two_bernoulli.wald_interval(stat, _conf(args))
-        meta["conf"] = _conf(args)
-    else:
-        raise CliError(f"--rule {rule!r} is not valid for model two-bernoulli "
-                       "(exact | approx | wald)")
-    return iv, meta
+def _arcsine_weight(w):
+    if isinstance(w, BetaWeight):
+        return bernoulli.omega_weight_from_beta(w)
+    if not isinstance(w, NormalWeight):
+        raise CliError("--weight: rule approx takes a normal weight on the arcsine "
+                       "scale, or a beta weight to be moment-matched")
+    return w
 
 
-def _expect_weight(args, cls):
-    if args.weight is None:
-        raise CliError(f"--weight is required and must be a {cls.__name__}")
-    if not isinstance(args.weight, cls):
-        raise CliError(f"--weight: expected a {cls.__name__} for this model/rule, "
-                       f"got {type(args.weight).__name__}")
-    return args.weight
+def _logodds_weight(w):
+    if w is not None and not isinstance(w, LogOddsJeffreysInduced):
+        raise CliError("--weight: the exact conditional rule uses the built-in "
+                       "log-odds weight (logodds)")
+    return w
+
+
+def _conditional(stat, w, level, args):
+    iv, log_qn = two_bernoulli._conditional_region(stat, level)
+    return iv, {"threshold": level.log_epsilon + log_qn.value,
+                "mixture_rel_error": log_qn.rel_error}
+
+
+# each (model, rule) of `robbins interval`: the further options it requires, its weight family
+# (None for a fixed-level rule at --conf; a function for a rule that checks --weight itself) and
+# a call(stat, weight, level, args) returning the interval and its extra metadata
+_RULES = {
+    ("normal", "classical"): (("--sigma2",), None, lambda st, w, conf, a: (
+        normal.classical_interval(st, a.sigma2, conf), {})),
+    ("normal", "exact"): (("--sigma2", "--weight"), NormalWeight, lambda st, w, lv, a: (
+        normal.robbins_interval_known_var(st, a.sigma2, w, lv),
+        {"threshold": lv.log_epsilon + normal.exact_log_mixture(st, a.sigma2, w).value})),
+    ("normal", "nig"): (("--sigma2hat", "--weight"), NormalInverseGamma, _nig),
+    ("normal", "approx"): (("--sigma2hat", "--weight"), NormalWeight, lambda st, w, lv, a: (
+        normal.approx_interval_unknown_var(st, w, lv), {})),
+    ("bernoulli", "exact"): (("--weight",), BetaWeight, lambda st, w, lv, a: (
+        bernoulli.robbins_interval_bernoulli(st, w, lv),
+        {"threshold": lv.log_epsilon + bernoulli.beta_binomial_log_pmf(st, w)})),
+    ("bernoulli", "lr"): ((), None, lambda st, w, conf, a: (bernoulli.lr_interval(st, conf), {})),
+    ("bernoulli", "approx"): (("--weight",), _arcsine_weight, lambda st, w, lv, a: (
+        bernoulli.arcsine_approx_interval(st, w, lv),
+        {"omega_weight": f"normal:{w.mu0:g},{w.tau0_sq:g}"})),
+    ("two-bernoulli", "exact"): ((), _logodds_weight, _conditional),
+    ("two-bernoulli", "approx"): (("--weight",), NormalWeight, lambda st, w, lv, a: (
+        two_bernoulli.approx_interval_log_odds(st, w, lv), {})),
+    ("two-bernoulli", "wald"): ((), None, lambda st, w, conf, a: (
+        two_bernoulli.wald_interval(st, conf), {})),
+}
+
+
+def _weight(w, family):
+    if isinstance(family, type) and not isinstance(w, family):
+        raise CliError(f"--weight: expected a {family.__name__} for this model/rule, "
+                       f"got {type(w).__name__}")
+    return w if isinstance(family, type) else family(w)
 
 
 def cmd_interval(args) -> int:
-    handlers = {"normal": _interval_normal, "bernoulli": _interval_bernoulli,
-                "two-bernoulli": _interval_two_bernoulli}
-    if args.model not in handlers:
-        raise CliError(f"--model must be one of {sorted(handlers)}, got {args.model!r}")
-    iv, meta = handlers[args.model](args)
-    meta = {"model": args.model, "rule": args.rule or "exact", "seed": args.seed, **meta}
+    if args.model not in _MODELS:
+        raise CliError(f"--model must be one of {sorted(_MODELS)}, got {args.model!r}")
+    stat_type, options, late = _MODELS[args.model]
+    _require(args, options, f"model {args.model}")
+    stat = None if late else _stat(stat_type, *_values(args, options))
+    rule = args.rule or "exact"
+    if (args.model, rule) not in _RULES:
+        rules = " | ".join(r for m, r in _RULES if m == args.model)
+        raise CliError(f"--rule {rule!r} is not valid for model {args.model} ({rules})")
+    more, family, call = _RULES[args.model, rule]
+    _require(args, more, f"rule {rule}")
+    if "--sigma2" in more:                  # a known variance is checked before the weight
+        _stat(_require_sigma0_sq, args.sigma2)
+    if family is not None:
+        w, level = _weight(args.weight, family), _level(args)
+    if late:
+        stat = _stat(stat_type, *_values(args, options + tuple(o for o in more if o in late)))
+        if stat.sigma_hat_sq is not None:
+            _stat(stat._require_variance)
+    if family is None:                      # a fixed level is read after the statistic
+        w, level = None, _conf(args)
+    iv, extra = call(stat, w, level, args)
+    meta = {"model": args.model, "rule": rule, "seed": args.seed,
+            **({"conf": level} if family is None else {"epsilon": level.epsilon}), **extra}
     if args.format == "json":
         print(json.dumps({"lower": iv.lower, "upper": iv.upper, **meta}))
     elif args.format == "csv":
-        keys = ["lower", "upper"] + list(meta)
-        print(",".join(keys))
-        print(",".join([f"{iv.lower:.10g}", f"{iv.upper:.10g}"] + [str(meta[k]) for k in meta]))
+        print(",".join(["lower", "upper", *meta]))
+        print(",".join([f"{iv.lower:.10g}", f"{iv.upper:.10g}", *map(str, meta.values())]))
     else:
         print(f"{iv.lower:.4f} {iv.upper:.4f}")
         for k, v in meta.items():
@@ -249,32 +215,23 @@ def cmd_interval(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-_RULE_MAP = {"classical": Rule.CLASSICAL_Z, "lr": Rule.LIKELIHOOD_RATIO,
-             "exact": Rule.ROBBINS_EXACT, "approx": Rule.ROBBINS_APPROX}
-
-
 def cmd_simulate(args) -> int:
     if args.model not in (m.value for m in Model):
         raise CliError(f"--model must be one of {[m.value for m in Model]}, got {args.model!r}")
     model = Model(args.model)
     rule_name = args.rule or ("exact" if model != Model.TWO_BERNOULLI else "approx")
-    if rule_name not in _RULE_MAP:
-        raise CliError(f"--rule must be one of {sorted(_RULE_MAP)}, got {rule_name!r}")
-    rule = _RULE_MAP[rule_name]
-    if model == Model.TWO_BERNOULLI:
-        _require(args, ["--theta1", "--theta2"], "model two-bernoulli")
-        truth = (args.theta1, args.theta2)
+    if rule_name not in (r.value for r in Rule):
+        raise CliError(f"--rule must be one of {sorted(r.value for r in Rule)}, got {rule_name!r}")
+    rule = Rule(rule_name)
+    names = ["--theta1", "--theta2"] if model == Model.TWO_BERNOULLI else ["--theta"]
+    _require(args, names, f"model {model.value}")
+    truth = (args.theta1, args.theta2) if model == Model.TWO_BERNOULLI else args.theta
+    # a rule that takes a weight on some model runs at --epsilon, the others at --conf
+    if any(family for (_, r), family in _WEIGHT_FAMILY.items() if r == rule):
+        level, weight = _level(args).epsilon, args.weight
+        _require(args, ["--weight"], f"rule {rule_name}")
     else:
-        _require(args, ["--theta"], f"model {model.value}")
-        truth = args.theta
-    if rule in (Rule.CLASSICAL_Z, Rule.LIKELIHOOD_RATIO):
-        level = _conf(args)
-        weight = None
-    else:
-        level = _level(args).epsilon
-        if args.weight is None:
-            raise CliError(f"rule {rule_name} requires --weight")
-        weight = args.weight
+        level, weight = _conf(args), None
     try:
         plan = SequencePlan(model=model, truth=truth, rule=rule, level=level,
                             weight=weight, n_min=args.nmin, n_max=args.nmax,
@@ -297,13 +254,11 @@ def _emit_report(report, args) -> None:
     if args.format == "json":
         text = report.json_text()
     elif args.format == "plain":
-        lines = []
-        for r in report.rows:
-            lines.append(f"{r.row_label} level={r.level:g}: "
-                         f"contradictions={r.contradictions_pct:.2f}% (se {r.se_contra:.3f}), "
-                         f"non-coverages={r.noncoverages_pct:.2f}% (se {r.se_noncov:.3f}) "
-                         f"[reps={r.reps} n={r.nmin}..{r.nmax} seed={r.seed}]")
-        text = "\n".join(lines) + "\n"
+        text = "".join(f"{r.row_label} level={r.level:g}: "
+                       f"contradictions={r.contradictions_pct:.2f}% (se {r.se_contra:.3f}), "
+                       f"non-coverages={r.noncoverages_pct:.2f}% (se {r.se_noncov:.3f}) "
+                       f"[reps={r.reps} n={r.nmin}..{r.nmax} seed={r.seed}]\n"
+                       for r in report.rows)
     else:
         text = report.csv_text()
     if args.out:
@@ -327,7 +282,10 @@ def cmd_reproduce_table(args) -> int:
         table_id = "T" + table_id
     if table_id not in simulation.TABLE_IDS:
         raise CliError(f"--id must be 1..5, got {args.id!r}")
-    report = reproduce_table(table_id, reps=args.reps, seed=args.seed, threads=_threads(args))
+    try:
+        report = reproduce_table(table_id, reps=args.reps, seed=args.seed, threads=_threads(args))
+    except ValueError as exc:           # reps out of range: a usage error
+        raise CliError(str(exc))
     _emit_report(report, args)
     comps = compare_to_reference(report)
     worst = max(comps, key=lambda c: abs(c.delta))
@@ -350,31 +308,36 @@ def cmd_reproduce_table(args) -> int:
 # ville-check
 # ---------------------------------------------------------------------------
 
+def _bernoulli_ville_path(theta, sigma2, w):
+    if not (0.0 < theta < 1.0):
+        raise CliError(f"--theta must lie in (0, 1) for bernoulli, got {theta}")
+    return bernoulli.ville_log_ratio_path(theta, w)
+
+
+# ville-check models: the default weight and truth, and the path builder(theta, sigma2, weight);
+# the weight family is the exact rule's
+_VILLE = {"normal": (NormalWeight(0.0, 1.0), 0.0, normal.ville_log_ratio_path),
+          "bernoulli": (BetaWeight(1.0, 1.0), 0.5, _bernoulli_ville_path)}
+
+
 def cmd_ville_check(args) -> int:
     if args.k is None:
         raise CliError("--k is required")
     if not args.k > 1.0:
         raise CliError(f"--k must exceed 1 for a meaningful bound, got {args.k}")
     model = args.model or "normal"
+    if model not in _VILLE:
+        raise CliError(f"--model must be {' or '.join(_VILLE)}, got {model!r}")
+    default_weight, theta, path = _VILLE[model]
+    w = default_weight if args.weight is None else args.weight
+    family = _WEIGHT_FAMILY[Model(model), Rule.ROBBINS_EXACT]
+    if not isinstance(w, family):
+        name = next(n for n, (cls, _) in _FAMILIES.items() if cls is family)
+        raise CliError(f"--weight: {model} model takes a {name} weight")
+    theta = theta if args.theta is None else args.theta
     try:
-        if model == "normal":
-            w = args.weight if args.weight is not None else NormalWeight(0.0, 1.0)
-            if not isinstance(w, NormalWeight):
-                raise CliError("--weight: normal model takes a normal weight")
-            theta = args.theta if args.theta is not None else 0.0
-            path = normal.ville_log_ratio_path(theta, args.sigma2, w)
-        elif model == "bernoulli":
-            w = args.weight if args.weight is not None else BetaWeight(1.0, 1.0)
-            if not isinstance(w, BetaWeight):
-                raise CliError("--weight: bernoulli model takes a beta weight")
-            theta = args.theta if args.theta is not None else 0.5
-            if not (0.0 < theta < 1.0):
-                raise CliError(f"--theta must lie in (0, 1) for bernoulli, got {theta}")
-            path = bernoulli.ville_log_ratio_path(theta, w)
-        else:
-            raise CliError(f"--model must be normal or bernoulli, got {model!r}")
-        res = engine.verify_ville_inequality(path, k=args.k, n_max=args.nmax,
-                                             reps=args.reps, seed=args.seed)
+        res = engine.verify_ville_inequality(path(theta, args.sigma2, w), k=args.k,
+                                             n_max=args.nmax, reps=args.reps, seed=args.seed)
     except ValueError as exc:
         raise CliError(str(exc))
     verdict = "PASS" if res.passed else "FAIL"
@@ -413,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("interval", help="compute one confidence-sequence interval")
     p.add_argument("--model", type=str, default=None)
-    p.add_argument("--rule", type=str, default=None,
-                   help="normal: classical|exact|nig|approx; bernoulli: exact|lr|approx; "
-                        "two-bernoulli: exact|approx|wald (default exact)")
+    p.add_argument("--rule", type=str, default=None, help="; ".join(
+        f"{m}: {'|'.join(r for n, r in _RULES if n == m)}" for m in _MODELS) + " (default exact)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--ybar", type=float, default=None)
     p.add_argument("--sigma2", type=float, default=None, help="known variance (normal)")

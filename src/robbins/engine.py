@@ -204,6 +204,11 @@ def _half_width(v, estimate, weight: NormalWeight, c):
     return math.sqrt(d) if scalar else np.sqrt(d, out=d)
 
 
+def _z_half_width(v, z):
+    """z sqrt(v), the fixed-level rules' half-width; numpy for an array v, else math."""
+    return z * (np.sqrt(v) if isinstance(v, np.ndarray) else math.sqrt(v))
+
+
 def laplace_log_mixture(loglik: ConcaveLogLikelihood, weight_density_at_mle: float,
                         observed_info_at_mle: float, dim: int = 1) -> MixtureLogDensity:
     """Gaussian-integral approximation of log q_n at the MLE:

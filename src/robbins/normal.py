@@ -21,7 +21,8 @@ import numpy as np
 from ._special import ndtri
 from .core import (Interval, NormalInverseGamma, NormalWeight, PersistenceLevel,
                    _require_integers, _require_sigma0_sq)
-from .engine import ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, closed_form_half_width
+from .engine import (ConcaveLogLikelihood, LogRatioPath, MixtureLogDensity, _z_half_width,
+                     closed_form_half_width)
 
 __all__ = [
     "NormalSuffStat",
@@ -104,7 +105,7 @@ def classical_interval(stat: NormalSuffStat, sigma0_sq: float, conf: float) -> I
     if not (0.0 < conf < 1.0):
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
     _require_sigma0_sq(sigma0_sq)
-    d = sqrt(sigma0_sq / stat.n) * float(ndtri(0.5 * (1.0 + conf)))
+    d = _z_half_width(sigma0_sq / stat.n, float(ndtri(0.5 * (1.0 + conf))))
     return Interval(stat.ybar - d, stat.ybar + d)
 
 

@@ -31,13 +31,13 @@ A chunk has CHUNK_REPS rows while n_max <= 32 768 (every bundled table); beyond,
 shrink as 1/n_max, so a chunk holds at most 32 STREAM_CELLS cells per statistic (_slices).
 
 The kernels call the scalar rules' own formulas, array-valued in the model modules:
-the mixture half-width (engine), corrected log-odds (two_bernoulli), arcsine back-map
-and level-set drop (bernoulli); only the fixed-level z sqrt(v) is written here.  The
-level-set rules (exact Bernoulli mixture, likelihood ratio) cover theta at n for one
-band of counts, bisected once per call and plan on the log-ratio at theta (_bands;
-binomial_level_set decides a probe within rounding of the threshold); a chunk is
-flagged by integer compares against the bands, and endpoints are solved only where
-a contradiction depends on them (_level_set_flags).
+the mixture and fixed-level half-widths (engine), corrected log-odds (two_bernoulli),
+arcsine estimate, back-map and level-set drop (bernoulli).  The level-set rules (exact
+Bernoulli mixture, likelihood ratio) cover theta at n for one band of counts, bisected
+once per call and plan on the log-ratio at theta (_bands; binomial_level_set decides a
+probe within rounding of the threshold); a chunk is flagged by integer compares against
+the bands, and endpoints are solved only where a contradiction depends on them
+(_level_set_flags).
 
 The plans of one kind (closed form or level set) and weight (or none) form a chain,
 narrowest first by the width constant c (_threshold); each later plan flags only the
@@ -69,9 +69,10 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from ._special import betaln, gammaln, ndtri, xlogy
-from .bernoulli import EndpointSolveError, _arcsine_back_map, _level_set_drop, binomial_level_set
+from .bernoulli import (EndpointSolveError, _arcsine_back_map, _arcsine_estimate, _level_set_drop,
+                        binomial_level_set)
 from .core import BetaWeight, NormalWeight, WeightSpec, _require_integers, _require_sigma0_sq
-from .engine import _half_width
+from .engine import _half_width, _z_half_width
 from .two_bernoulli import _corrected_log_odds
 from . import reference
 
@@ -304,14 +305,14 @@ def _closed_form_flags(plan, c, ncols, est_v, truth, bounds, prior):
     """((contradicted, noncovered) counts, noncovered mask) of est +/- d on a chunk monitored
     at ncols sample sizes, on the rows prior holds (slice(None) for all, so tiles are views):
     est_v(j0, j1, rows) gives their estimates and variances on the columns [j0, j1) of one
-    TILE_COLS-wide tile, and d = c sqrt(v) (fixed-level rules) or engine._half_width at c.
+    TILE_COLS-wide tile, and d = engine._z_half_width (fixed-level rules) or _half_width at c.
     The running max of lower and min of upper endpoints are carried across the tiles, mapped
     to the parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
     rows = slice(None) if prior.all() else np.flatnonzero(prior)
     lo, up = np.full((2, np.count_nonzero(prior)), [[-np.inf], [np.inf]])
     for j0 in range(0, ncols, TILE_COLS):
         est, v = est_v(j0, j0 + TILE_COLS, rows)
-        d = c * np.sqrt(v) if plan.weight is None else _half_width(v, est, plan.weight, c)
+        d = _z_half_width(v, c) if plan.weight is None else _half_width(v, est, plan.weight, c)
         np.maximum(lo, (est - d).max(axis=1), out=lo)
         np.minimum(up, (est + d).min(axis=1), out=up)
     if bounds is not None:
@@ -519,7 +520,7 @@ def _draw(plan, ns, r0, r1):
     sc = np.empty((m, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
         sc[i:i + len(u)] = np.cumsum(u < p.truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
-    return lambda j0, j1, rows: (np.arcsin(np.sqrt(sc[rows, j0:j1] / ns[j0:j1])),
+    return lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]),
                                  0.25 / ns[j0:j1]), p.truth, _arcsine_back_map, sc
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._special import gammaln, ndtri
 from .core import Interval, NormalWeight, PersistenceLevel, _require_integers
-from .engine import (ConcaveLogLikelihood, EndpointSolveError, _half_width, concave_level_set,
-                     trapezoid_log_mixture)
+from .engine import (ConcaveLogLikelihood, EndpointSolveError, _half_width, _z_half_width,
+                     concave_level_set, trapezoid_log_mixture)
 
 __all__ = [
     "TwoSampleStat",
@@ -284,5 +284,5 @@ def wald_interval(stat: TwoSampleStat, conf: float) -> Interval:
     if not (0.0 < conf < 1.0):
         raise ValueError(f"conf must lie in (0, 1), got {conf}")
     psi_hat, v_n = continuity_corrected_estimates(stat)
-    d = float(ndtri(0.5 * (1.0 + conf))) * sqrt(v_n)
+    d = _z_half_width(v_n, float(ndtri(0.5 * (1.0 + conf))))
     return Interval(psi_hat - d, psi_hat + d)

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from robbins import cli
-from robbins.core import BetaWeight, NormalWeight, PersistenceLevel
-from robbins import bernoulli, two_bernoulli
+from robbins.core import BetaWeight, NormalInverseGamma, NormalWeight, PersistenceLevel
+from robbins import bernoulli, normal, two_bernoulli
 
 
 def run(capsys, *argv):
@@ -15,65 +15,191 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
-class TestIntervalCommand:
-    def test_bernoulli_exact_printout(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "bernoulli", "--n", "100",
-                         "--s", "40", "--weight", "beta:0.5,0.5", "--epsilon", "0.2")
-        assert rc == 0
-        # true endpoint 0.267225 displays as 0.2672; the 4-decimal reference
-        # figure 0.2673 is one ulp up (covered by the last-digit acceptance rule)
-        assert out.splitlines()[0] == "0.2672 0.5435"
-        assert "# threshold=" in out
+EPS = PersistenceLevel(0.2)
+NORMAL_STAT = normal.NormalSuffStat(100, 0.1)
+BERNOULLI_STAT = bernoulli.BernoulliSuffStat(100, 40)
+TWO_SAMPLE = ["--n1", "30", "--n2", "70", "--s1", "20", "--s2", "30"]
+TWO_SAMPLE_STAT = two_bernoulli.TwoSampleStat(30, 70, 20, 30)
 
+
+def _conditional():
+    log_qn = two_bernoulli.conditional_log_mixture(TWO_SAMPLE_STAT)
+    return (two_bernoulli.robbins_conditional_interval(TWO_SAMPLE_STAT, EPS),
+            {"epsilon": 0.2, "threshold": EPS.log_epsilon + log_qn.value,
+             "mixture_rel_error": log_qn.rel_error})
+
+
+def _arcsine(weight):
+    return (bernoulli.arcsine_approx_interval(BERNOULLI_STAT, weight, EPS),
+            {"epsilon": 0.2, "omega_weight": f"normal:{weight.mu0:g},{weight.tau0_sq:g}"})
+
+
+# valid `robbins interval` calls, each with the library's (interval, metadata after the seed)
+# and, where a figure is known, the printed endpoints
+INTERVAL_CASES = {
+    "normal-classical": (
+        ["--model", "normal", "--rule", "classical", "--n", "100", "--ybar", "0.1",
+         "--sigma2", "2", "--conf", "0.95"],
+        lambda: (normal.classical_interval(NORMAL_STAT, 2.0, 0.95), {"conf": 0.95}), None),
+    "normal-exact": (
+        ["--model", "normal", "--rule", "exact", "--n", "100", "--ybar", "0.1", "--sigma2", "2",
+         "--weight", "normal:0,1"],
+        lambda: (normal.robbins_interval_known_var(NORMAL_STAT, 2.0, NormalWeight(0, 1), EPS),
+                 {"epsilon": 0.2, "threshold": EPS.log_epsilon + normal.exact_log_mixture(
+                     NORMAL_STAT, 2.0, NormalWeight(0, 1)).value}), None),
+    "normal-nig": (
+        ["--model", "normal", "--rule", "nig", "--n", "100", "--ybar", "0", "--sigma2hat", "1",
+         "--weight", "nig:1,8,2,1", "--epsilon", "0.2"],
+        lambda: (normal.nig_profile_interval(normal.NormalSuffStat(100, 0.0, 1.0),
+                                             NormalInverseGamma(1, 8, 2, 1), EPS),
+                 {"epsilon": 0.2, "threshold": EPS.log_epsilon + normal.nig_log_marginal(
+                     normal.NormalSuffStat(100, 0.0, 1.0), NormalInverseGamma(1, 8, 2, 1))}),
+        "-0.4333 0.4333"),
+    "normal-approx": (
+        ["--model", "normal", "--rule", "approx", "--n", "100", "--ybar", "0.1",
+         "--sigma2hat", "1.5", "--weight", "normal:0,1"],
+        lambda: (normal.approx_interval_unknown_var(normal.NormalSuffStat(100, 0.1, 1.5),
+                                                    NormalWeight(0, 1), EPS), {"epsilon": 0.2}),
+        None),
+    # true endpoint 0.267225 displays as 0.2672; the 4-decimal reference figure 0.2673
+    # is one ulp up (covered by the last-digit acceptance rule)
+    "bernoulli-exact": (
+        ["--model", "bernoulli", "--n", "100", "--s", "40", "--weight", "beta:0.5,0.5",
+         "--epsilon", "0.2"],
+        lambda: (bernoulli.robbins_interval_bernoulli(BERNOULLI_STAT, BetaWeight(0.5, 0.5), EPS),
+                 {"epsilon": 0.2, "threshold": EPS.log_epsilon + bernoulli.beta_binomial_log_pmf(
+                     BERNOULLI_STAT, BetaWeight(0.5, 0.5))}),
+        "0.2672 0.5435"),
+    "bernoulli-exact-uniform": (
+        ["--model", "bernoulli", "--rule", "exact", "--n", "100", "--s", "40",
+         "--weight", "beta:1,1", "--epsilon", "0.2"],
+        lambda: (bernoulli.robbins_interval_bernoulli(BERNOULLI_STAT, BetaWeight(1, 1), EPS),
+                 {"epsilon": 0.2, "threshold": EPS.log_epsilon + bernoulli.beta_binomial_log_pmf(
+                     BERNOULLI_STAT, BetaWeight(1, 1))}), None),
+    "bernoulli-lr": (
+        ["--model", "bernoulli", "--rule", "lr", "--n", "100", "--s", "40", "--conf", "0.995"],
+        lambda: (bernoulli.lr_interval(BERNOULLI_STAT, 0.995), {"conf": 0.995}), "0.2702 0.5400"),
+    "bernoulli-approx": (
+        ["--model", "bernoulli", "--rule", "approx", "--n", "100", "--s", "40",
+         "--weight", "normal:0.7,0.1"],
+        lambda: _arcsine(NormalWeight(0.7, 0.1)), None),
+    "bernoulli-approx-beta": (
+        ["--model", "bernoulli", "--rule", "approx", "--n", "100", "--s", "40",
+         "--weight", "beta:2,3"],
+        lambda: _arcsine(bernoulli.omega_weight_from_beta(BetaWeight(2, 3))), None),
+    "two-bernoulli-exact": (
+        ["--model", "two-bernoulli", "--rule", "exact", *TWO_SAMPLE, "--epsilon", "0.2"],
+        _conditional, "-0.2508 2.2933"),
+    "two-bernoulli-exact-logodds": (
+        ["--model", "two-bernoulli", *TWO_SAMPLE, "--weight", "logodds"], _conditional, None),
+    "two-bernoulli-approx": (
+        ["--model", "two-bernoulli", *TWO_SAMPLE, "--weight", "normal:0,19.7392",
+         "--epsilon", "0.2", "--rule", "approx"],
+        lambda: (two_bernoulli.approx_interval_log_odds(TWO_SAMPLE_STAT, NormalWeight(0, 19.7392),
+                                                        EPS), {"epsilon": 0.2}), None),
+    "two-bernoulli-wald": (
+        ["--model", "two-bernoulli", "--rule", "wald", *TWO_SAMPLE, "--conf", "0.9"],
+        lambda: (two_bernoulli.wald_interval(TWO_SAMPLE_STAT, 0.9), {"conf": 0.9}), None),
+}
+
+# each (model, rule) of `robbins interval`: a valid call (a key of INTERVAL_CASES), the options
+# it requires with the context its message names, and a weight of the wrong family with the
+# message that rejects it (None for a fixed-level rule)
+_GENERIC = "--weight: expected a {} for this model/rule, got {}"
+INTERVAL_ROWS = {
+    ("normal", "classical"): ("normal-classical", {"--sigma2": "rule classical",
+                                                   "--conf": "rule 'classical'"}, None),
+    ("normal", "exact"): ("normal-exact", {"--sigma2": "rule exact", "--weight": "rule exact"},
+                          ("beta:1,1", _GENERIC.format("NormalWeight", "BetaWeight"))),
+    ("normal", "nig"): ("normal-nig", {"--sigma2hat": "rule nig", "--weight": "rule nig"},
+                        ("normal:0,1", _GENERIC.format("NormalInverseGamma", "NormalWeight"))),
+    ("normal", "approx"): ("normal-approx", {"--sigma2hat": "rule approx", "--weight": "rule approx"},
+                           ("nig:1,8,2,1", _GENERIC.format("NormalWeight", "NormalInverseGamma"))),
+    ("bernoulli", "exact"): ("bernoulli-exact", {"--weight": "rule exact"},
+                             ("normal:0,1", _GENERIC.format("BetaWeight", "NormalWeight"))),
+    ("bernoulli", "lr"): ("bernoulli-lr", {"--conf": "rule 'lr'"}, None),
+    ("bernoulli", "approx"): ("bernoulli-approx", {"--weight": "rule approx"},
+                              ("nig:1,8,2,1", "--weight: rule approx takes a normal weight on the "
+                               "arcsine scale, or a beta weight to be moment-matched")),
+    ("two-bernoulli", "exact"): ("two-bernoulli-exact", {},
+                                 ("normal:0,1", "--weight: the exact conditional rule uses the "
+                                  "built-in log-odds weight (logodds)")),
+    ("two-bernoulli", "approx"): ("two-bernoulli-approx", {"--weight": "rule approx"},
+                                  ("logodds", _GENERIC.format("NormalWeight",
+                                                              "LogOddsJeffreysInduced"))),
+    ("two-bernoulli", "wald"): ("two-bernoulli-wald", {"--conf": "rule 'wald'"}, None),
+}
+MODEL_OPTIONS = {"normal": ["--n", "--ybar"], "bernoulli": ["--n", "--s"],
+                 "two-bernoulli": ["--n1", "--n2", "--s1", "--s2"]}
+
+
+def _id(value):
+    return "-".join(value) if isinstance(value, tuple) else value.lstrip("-")
+
+
+def _without(argv, option):
+    i = argv.index(option)
+    return argv[:i] + argv[i + 2:]
+
+
+class TestIntervalRows:
+    """Every (model, rule) row of `robbins interval`: its interval and metadata, its
+    required options and its weight family."""
+
+    @pytest.mark.parametrize("case", list(INTERVAL_CASES))
+    def test_matches_library(self, capsys, case):
+        argv, library, figure = INTERVAL_CASES[case]
+        iv, meta = library()
+        rc, out, err = run(capsys, "interval", *argv, "--format", "json")
+        assert (rc, err) == (0, "")
+        model = argv[argv.index("--model") + 1]
+        rule = argv[argv.index("--rule") + 1] if "--rule" in argv else "exact"
+        expected = {"lower": iv.lower, "upper": iv.upper, "model": model, "rule": rule,
+                    "seed": 42, **meta}
+        obj = json.loads(out)
+        assert obj == expected
+        assert list(obj) == list(expected)
+        rc, out, _ = run(capsys, "interval", *argv)
+        assert rc == 0
+        assert out.splitlines() == [f"{iv.lower:.4f} {iv.upper:.4f}"] + [
+            f"# {k}={v}" for k, v in list(expected.items())[2:]]
+        if figure is not None:
+            assert out.splitlines()[0] == figure
+
+    @pytest.mark.parametrize("row, option", [
+        (row, option) for row, (_, rule_options, _) in INTERVAL_ROWS.items()
+        for option in MODEL_OPTIONS[row[0]] + list(rule_options)], ids=_id)
+    def test_missing_option_named(self, capsys, row, option):
+        case, rule_options, _ = INTERVAL_ROWS[row]
+        context = rule_options.get(option, f"model {row[0]}")
+        rc, out, err = run(capsys, "interval", *_without(INTERVAL_CASES[case][0], option))
+        assert (rc, out, err) == (2, "", f"error: {context} requires {option}\n")
+
+    @pytest.mark.parametrize("row", [row for row, spec in INTERVAL_ROWS.items() if spec[2]],
+                             ids=_id)
+    def test_wrong_weight_family_rejected(self, capsys, row):
+        case, _, (weight, message) = INTERVAL_ROWS[row]
+        argv = INTERVAL_CASES[case][0]
+        argv = (_without(argv, "--weight") if "--weight" in argv else argv) + ["--weight", weight]
+        rc, out, err = run(capsys, "interval", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("model", list(MODEL_OPTIONS))
+    def test_unknown_rule_lists_the_model_rules(self, capsys, model):
+        case = INTERVAL_ROWS[model, "exact"][0]
+        rc, out, err = run(capsys, "interval", *INTERVAL_CASES[case][0], "--rule", "bogus")
+        rules = " | ".join(rule for m, rule in INTERVAL_ROWS if m == model)
+        assert (rc, out, err) == (2, "", f"error: --rule 'bogus' is not valid for model "
+                                         f"{model} ({rules})\n")
+
+
+class TestIntervalCommand:
     def test_epsilon_boundary_rejected(self, capsys):
         rc, _, err = run(capsys, "interval", "--model", "normal", "--n", "100",
                          "--ybar", "0", "--sigma2", "1", "--weight", "normal:0,1",
                          "--epsilon", "1")
         assert rc == 2
         assert "--epsilon" in err
-
-    def test_two_bernoulli_approx_printout(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "two-bernoulli", "--n1", "30",
-                         "--n2", "70", "--s1", "20", "--s2", "30",
-                         "--weight", "normal:0,19.7392", "--epsilon", "0.2",
-                         "--rule", "approx")
-        assert rc == 0
-        lo, hi = map(float, out.splitlines()[0].split())
-        iv = two_bernoulli.approx_interval_log_odds(
-            two_bernoulli.TwoSampleStat(30, 70, 20, 30),
-            NormalWeight(0.0, 19.7392), PersistenceLevel(0.2))
-        assert lo == round(iv.lower, 4)
-        assert hi == round(iv.upper, 4)
-
-    def test_round_trip_matches_library(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "bernoulli", "--n", "100",
-                         "--s", "40", "--weight", "beta:1,1", "--epsilon", "0.2")
-        lo, hi = map(float, out.splitlines()[0].split())
-        iv = bernoulli.robbins_interval_bernoulli(
-            bernoulli.BernoulliSuffStat(100, 40), BetaWeight(1, 1), PersistenceLevel(0.2))
-        assert (lo, hi) == (round(iv.lower, 4), round(iv.upper, 4))
-
-    def test_lr_rule(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "bernoulli", "--rule", "lr",
-                         "--n", "100", "--s", "40", "--conf", "0.995")
-        assert rc == 0
-        assert out.splitlines()[0] == "0.2702 0.5400"
-
-    def test_nig_rule(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "normal", "--rule", "nig",
-                         "--n", "100", "--ybar", "0", "--sigma2hat", "1",
-                         "--weight", "nig:1,8,2,1", "--epsilon", "0.2")
-        assert rc == 0
-        assert out.splitlines()[0] == "-0.4333 0.4333"
-
-    def test_conditional_rule(self, capsys):
-        rc, out, _ = run(capsys, "interval", "--model", "two-bernoulli", "--rule", "exact",
-                         "--n1", "30", "--n2", "70", "--s1", "20", "--s2", "30",
-                         "--epsilon", "0.2")
-        assert rc == 0
-        lo, hi = map(float, out.splitlines()[0].split())
-        assert lo == pytest.approx(-0.2508, abs=1e-4)
-        assert hi == pytest.approx(2.2933, abs=1e-4)
 
     def test_conditional_rule_runs_one_quadrature(self, capsys, monkeypatch):
         calls = []
@@ -96,12 +222,6 @@ class TestIntervalCommand:
         log_qn = two_bernoulli.conditional_log_mixture(stat)
         assert obj["threshold"] == level.log_epsilon + log_qn.value
         assert obj["mixture_rel_error"] == log_qn.rel_error <= 1e-8
-
-    def test_missing_argument_named(self, capsys):
-        rc, _, err = run(capsys, "interval", "--model", "bernoulli", "--n", "100",
-                         "--weight", "beta:1,1")
-        assert rc == 2
-        assert "--s" in err
 
     def test_unknown_weight_family(self, capsys):
         rc, _, err = run(capsys, "interval", "--model", "bernoulli", "--n", "100",
@@ -351,6 +471,13 @@ class TestReproduceTableCommand:
         rc, _, err = run(capsys, "reproduce-table", "--id", "9")
         assert rc == 2
         assert "--id" in err
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_is_a_usage_error(self, capsys, reps):
+        # once exit 1, the runtime failure code; simulate --reps 0 exits 2
+        rc, out, err = run(capsys, "reproduce-table", "--id", "1", "--reps", reps)
+        assert (rc, out) == (2, "")
+        assert err == f"error: reps must be >= 1, got {reps}\n"
 
     def test_zero_threads_rejected(self, capsys):
         rc, _, err = run(capsys, "reproduce-table", "--id", "1", "--reps", "5",
