@@ -60,13 +60,16 @@ def _log_binom_coeff(n: int, s: int) -> float:
 
 
 def binomial_loglik(stat: BernoulliSuffStat) -> ConcaveLogLikelihood:
-    """Binomial log-likelihood on (0, 1); concave, maximised at s/n."""
+    """Binomial log-likelihood on (0, 1); concave, maximised at s/n.  log(1 - theta) is
+    log1p(-theta), which keeps its relative precision where theta is near 0."""
     n, s = stat.n, stat.s
     lc = float(_log_binom_coeff(n, s))
     that = stat.mle
 
     def fn(theta):
-        return lc + xlogy(s, theta) + xlogy(n - s, 1.0 - theta)
+        with np.errstate(divide="ignore", invalid="ignore"):     # -inf at 1, as xlogy gives
+            tail = (n - s) * np.log1p(-theta) if n > s else 0.0
+        return lc + xlogy(s, theta) + tail
 
     return ConcaveLogLikelihood(fn=fn, mle=that, mle_loglik=float(fn(that)),
                                 support=(0.0, 1.0))

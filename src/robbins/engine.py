@@ -7,7 +7,8 @@ The region at level 1 - epsilon is the likelihood level set
 where q_n is the mixture density of the data under the weight function.  For a
 strictly concave log-likelihood the set is an interval whose endpoints are
 found by geometric bracket expansion from the MLE followed by bisection to an
-absolute tolerance (the Bernoulli rules use bernoulli.binomial_level_set).
+absolute tolerance, relative to the distance from a finite support bound near it
+(the Bernoulli rules use bernoulli.binomial_level_set).
 
 log q_n itself is produced four ways: exact closed forms supplied by the model
 modules, a Laplace (Gaussian-integral) approximation at the MLE, adaptive
@@ -101,12 +102,15 @@ def _as_log_qn(log_qn) -> float:
     return log_qn.value if isinstance(log_qn, MixtureLogDensity) else float(log_qn)
 
 
-def _bisect_endpoint(f, inner, outer, threshold, xtol):
+def _bisect_endpoint(f, inner, outer, threshold, xtol, bounds=()):
     """Root of f(theta) = threshold between inner (f >= threshold) and outer
-    (f < threshold), to absolute tolerance xtol."""
+    (f < threshold), to absolute tolerance xtol, and near the finite support bounds
+    given to xtol times the bracket's distance from the nearest (or to rounding)."""
     a, b = inner, outer
-    while abs(b - a) > xtol:
+    while abs(b - a) > xtol * min([1.0] + [min(abs(a - x), abs(b - x)) for x in bounds]):
         m = 0.5 * (a + b)
+        if m == a or m == b:        # no float strictly between
+            break
         if f(m) >= threshold:
             a = m
         else:
@@ -119,10 +123,12 @@ def _endpoint(loglik: ConcaveLogLikelihood, threshold: float, direction: int,
     """Locate one level-set endpoint on the given side of the MLE.
 
     Expands geometrically (step doubling) from the MLE until the threshold is
-    crossed, then bisects.  At a finite support bound still above the threshold
-    the region is truncated and the bound itself is returned.
+    crossed, then bisects.  Past a finite support bound it probes inside the bound
+    at distances falling 16-fold from half the gap, down to rounding; the region is
+    truncated there, and the bound itself returned, only if every probe lies inside.
     """
     bound = loglik.support[1] if direction > 0 else loglik.support[0]
+    bounds = [x for x in loglik.support if math.isfinite(x)]
     step = 1e-2 * (1.0 + abs(loglik.mle))
     x_in = loglik.mle
     for _ in range(_MAX_EXPANSIONS):
@@ -132,14 +138,14 @@ def _endpoint(loglik: ConcaveLogLikelihood, threshold: float, direction: int,
                 raise NoBracketError(
                     f"no level crossing within {_MAX_EXPANSIONS} expansions towards "
                     f"{'+' if direction > 0 else '-'}inf")
-            # probe inside the open boundary, strictly between x_in and the bound
-            x_probe = bound - direction * min(max(xtol, 1e-13 * (1.0 + abs(bound))),
-                                              0.5 * abs(bound - x_in))
-            if loglik(x_probe) >= threshold:
-                return bound          # truncated at the domain boundary
-            return _bisect_endpoint(loglik, x_in, x_probe, threshold, xtol)
+            gap = 0.5 * abs(bound - x_in)
+            while (x_probe := bound - direction * gap) != bound:
+                if loglik(x_probe) < threshold:
+                    return _bisect_endpoint(loglik, x_in, x_probe, threshold, xtol, bounds)
+                x_in, gap = x_probe, gap / 16.0
+            return bound          # truncated at the domain boundary
         if loglik(x_out) < threshold:
-            return _bisect_endpoint(loglik, x_in, x_out, threshold, xtol)
+            return _bisect_endpoint(loglik, x_in, x_out, threshold, xtol, bounds)
         x_in = x_out
         step *= 2.0
     raise NoBracketError(f"no level crossing within {_MAX_EXPANSIONS} expansions")

@@ -50,6 +50,15 @@ A level-set plan seeks one-sided contradictions only in the rows its predecessor
 contradicted: the level sets {theta : l(theta) >= log eps + log q_n} grow as eps falls
 (the LR sets as conf rises), so a replication contradicted at a wider level is
 contradicted at every narrower one.
+
+Every link starts alike: a cheap compare against a band per look, then exact work only on
+the rows that leave it.  A level-set link compares the counts with the set-up's band of
+covered counts (_bands).  A mixture closed-form link compares the estimates (normal) or
+counts (arcsine) with the closed-form roots of its coverage quadratic, shrunk by a margin
+far beyond rounding (_closed_form_band; two-Bernoulli: a per-cell bound, as v varies by
+cell), and scans only the rows leaving it: a row inside at every look is covered at every
+look, so it is neither noncovered nor contradicted.  Fixed-level links scan every row, as
+most of them leave their band.
 """
 
 from __future__ import annotations
@@ -301,17 +310,98 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
 # closed-form rules (normal, two-bernoulli, arcsine)
 # ---------------------------------------------------------------------------
 
-def _closed_form_flags(plan, c, ncols, est_v, truth, bounds, prior):
+# A closed-form link's band is shrunk by _BAND_MARGIN of its scale (_closed_form_band), a
+# million times the rounding of est +/- d and of the band: a row inside it at every look is
+# covered at every look, so neither noncovered nor contradicted (lo <= truth <= up).
+_BAND_MARGIN = 1e-9
+
+
+def _closed_form_band(plan, ns, c):
+    """The estimates per look that the mixture half-width at c surely covers, or None for a
+    fixed-level rule (unscreened: most rows leave its band).  Coverage (est - t)^2 <= v (log(tv/v)
+    + c + (est - mu0)^2/tv), tv = tau0_sq + v, is quadratic in est, with roots A, B = (t - r mu0
+    -/+ sqrt(r (t - mu0)^2 + (1 - r) v (log(tv/v) + c))) / (1 - r), r = v/tv.  On [A + m, B - m],
+    d - |est - t| >= (1 - r) m / 4 (d <= B - A there); m = _BAND_MARGIN (B - A + |t| + |mu0|) /
+    (1 - r).  Normal: t is the truth and the band (a, b) bounds the running means.  Arcsine: t is
+    asin sqrt(theta), and the band maps to counts of ns (empty: a = b + 1), in the counts' type.
+    Two-Bernoulli: v varies per cell, so the band is (tau0_sq, c) of the per-cell bound of
+    _log_odds_leaving."""
+    w = plan.weight
+    if w is None:
+        return None
+    if plan.model == Model.TWO_BERNOULLI:
+        return w.tau0_sq, c
+    arcsine = plan.model == Model.BERNOULLI
+    v = (0.25 if arcsine else plan.sigma0_sq) / ns
+    t = math.asin(math.sqrt(plan.truth)) if arcsine else plan.truth
+    tv = w.tau0_sq + v
+    r, q = v / tv, w.tau0_sq / tv          # r and 1 - r
+    root = np.sqrt(r * (t - w.mu0) ** 2 + q * v * (np.log(tv / v) + c))
+    m = _BAND_MARGIN * (2.0 * root / q + abs(t) + abs(w.mu0))
+    a, b = (t - r * w.mu0 - root + m) / q, (t - r * w.mu0 + root - m) / q
+    if not arcsine:
+        return a, b
+    lo = np.ceil(ns * np.sin(np.maximum(a, 0.0)) ** 2)
+    hi = np.floor(ns * np.sin(np.minimum(b, 0.5 * math.pi)) ** 2)
+    off = ~((a < t) & (t < b))      # a margin past the truth: every count leaves
+    lo[off], hi[off] = 1, 0
+    return lo.astype(np.min_scalar_type(plan.n_max)), hi.astype(np.min_scalar_type(plan.n_max))
+
+
+def _leaving(x, band):
+    """(below, above, low, high) of x (replications x looks) against band = (a, b) per look: low
+    and high mark the looks with x < a and x > b, below and above the rows with any."""
+    low, high = x < band[0], x > band[1]
+    return low.any(axis=1), high.any(axis=1), low, high
+
+
+def _rows_leaving(x, band, rows):
+    """Whether each of the rows of x (replications x looks) leaves band = (a, b) per look at
+    some look, by _leaving on tiles of 16 TILE_COLS columns, so no mask of a whole chunk is
+    built (compares gain from tiles wider than the endpoint scan's)."""
+    out, width = False, 16 * TILE_COLS
+    for j0 in range(0, x.shape[1], width):
+        cols = slice(j0, j0 + width)
+        below, above, *_ = _leaving(x[rows, cols], (band[0][cols], band[1][cols]))
+        out = out | below | above
+    return out
+
+
+def _log_odds_leaving(est, v, psi, vmax, band):
+    """Whether each row of a two-Bernoulli tile (estimates est, variances v) leaves its band
+    (tau0_sq, c) of _closed_form_band at some look: (|est - psi| + m |psi|)^2 > (1 - m)^2 v
+    (log1p(tau0_sq / vmax) + c), m = _BAND_MARGIN, vmax >= v per look.  As log(tv/v) >=
+    log1p(tau0_sq / vmax), a cell inside has d - |est - psi| >= m (d + |psi|)."""
+    tau0_sq, c = band
+    dev = np.abs(est - psi)
+    dev += _BAND_MARGIN * abs(psi)
+    dev *= dev
+    v = v * ((1.0 - _BAND_MARGIN) ** 2 * (np.log1p(tau0_sq / vmax) + c))
+    return (dev > v).any(axis=1)
+
+
+def _closed_form_flags(plan, c, ns, stats, prior):
     """((contradicted, noncovered) counts, noncovered mask) of est +/- d on a chunk monitored
-    at ncols sample sizes, on the rows prior holds (slice(None) for all, so tiles are views):
-    est_v(j0, j1, rows) gives their estimates and variances on the columns [j0, j1) of one
-    TILE_COLS-wide tile, and d = engine._z_half_width (fixed-level rules) or _half_width at c.
-    The running max of lower and min of upper endpoints are carried across the tiles, mapped
-    to the parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
+    at ns, on the rows prior holds that leave the plan's _closed_form_band at c (all of them
+    for a fixed-level rule): a row inside it is covered at every look.  The band is built per
+    chunk, as a pickled copy per link in every chunk's task costs the caller more memory than
+    building it costs time.  stats = (est_v, truth, bounds, leaving) of _draw: leaving(band,
+    rows) marks the rows that leave the band; est_v(j0, j1, rows) gives their estimates and
+    variances on the columns [j0, j1) of one tile, TILE_COLS columns per CHUNK_REPS // rows
+    (rows: an index array, or slice(None) for all, so tiles are views), and d =
+    engine._z_half_width (fixed-level rules) or _half_width at c.  The running max of lower
+    and min of upper endpoints are carried across the tiles, mapped to the parameter scale by
+    bounds(maxlo, minup) when given, and flagged at the end."""
+    est_v, truth, bounds, leaving = stats
     rows = slice(None) if prior.all() else np.flatnonzero(prior)
+    if (band := _closed_form_band(plan, ns, c)) is not None:
+        prior = np.zeros_like(prior)
+        prior[rows] = leaving(band, rows)
+        rows = np.flatnonzero(prior)
     lo, up = np.full((2, np.count_nonzero(prior)), [[-np.inf], [np.inf]])
-    for j0 in range(0, ncols, TILE_COLS):
-        est, v = est_v(j0, j0 + TILE_COLS, rows)
+    width = TILE_COLS * max(1, CHUNK_REPS // max(lo.size, 1))
+    for j0 in range(0, ns.size, width):
+        est, v = est_v(j0, j0 + width, rows)
         d = _z_half_width(v, c) if plan.weight is None else _half_width(v, est, plan.weight, c)
         np.maximum(lo, (est - d).max(axis=1), out=lo)
         np.minimum(up, (est + d).min(axis=1), out=up)
@@ -425,8 +515,7 @@ def _level_set_flags(plan, sc, ns, tables, band, prior):
     stat(U*) does not clear c.  A one-sided row is searched only if prior holds it: the
     contradicted mask of the plan's predecessor in its chain (all rows for the first)."""
     (a, b), margin = band, tables[3]
-    low, high = sc < a, sc > b
-    below, above = low.any(axis=1), high.any(axis=1)
+    below, above, low, high = _leaving(sc, band)
     contradicted = below & above
     rows = np.flatnonzero((below != above) & prior)
     side = below[rows]
@@ -487,12 +576,13 @@ def _setup(plans):
 
 
 def _draw(plan, ns, r0, r1):
-    """(est_v, truth, bounds, counts) of replications r0..r1-1, the statistics the plan's
-    model monitors at ns: est_v, truth and bounds as _closed_form_flags takes them, and
-    the success counts (replications x ns) of the Bernoulli model (else None).  Normal:
-    running means; two-Bernoulli: the paired corrected log-odds (estimate over s1,
-    variance over s2), the log-odds ratio as truth; Bernoulli: the arcsine estimates,
-    mapped back by _arcsine_back_map."""
+    """(counts, stats) of replications r0..r1-1 at ns: the success counts (replications x ns)
+    of the Bernoulli model (else None), and stats = (est_v, truth, bounds, leaving) as
+    _closed_form_flags takes them.  Normal: running means, leaving a band (a, b) per look;
+    two-Bernoulli: the paired corrected log-odds (estimate over s1, variance over s2), the
+    log-odds ratio as truth, leaving by _log_odds_leaving with each look's largest variance in
+    the chunk; Bernoulli: the arcsine estimates, mapped back by _arcsine_back_map, and the
+    counts leaving a band of counts."""
     p, m = plan, r1 - r0
     if p.model == Model.NORMAL_KNOWN_VAR:
         v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
@@ -503,7 +593,8 @@ def _draw(plan, ns, r0, r1):
             np.cumsum(y, axis=1, out=total[i:i + len(y)])
         est = total[:, p.n_min - 1:]
         est /= ns
-        return lambda j0, j1, rows: (est[rows, j0:j1], v[j0:j1]), p.truth, None, None
+        return None, (lambda j0, j1, rows: (est[rows, j0:j1], v[j0:j1]), p.truth, None,
+                      functools.partial(_rows_leaving, est))
     if p.model == Model.TWO_BERNOULLI:
         (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
         s1 = np.empty((m, ns.size))
@@ -511,17 +602,31 @@ def _draw(plan, ns, r0, r1):
         for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
             s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
             s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
+        vmax = np.empty(ns.size)
         for j0 in range(0, ns.size, TILE_COLS):
             t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
             t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
+            vmax[j0:j0 + TILE_COLS] = t2.max(axis=0)
         psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
-        return lambda j0, j1, rows: (s1[rows, j0:j1], s2[rows, j0:j1]), psi_true, None, None
+
+        def est_v(j0, j1, rows):
+            return s1[rows, j0:j1], s2[rows, j0:j1]
+
+        def leaving(band, rows):
+            out = False
+            for j0 in range(0, ns.size, TILE_COLS):
+                out = out | _log_odds_leaving(*est_v(j0, j0 + TILE_COLS, rows), psi_true,
+                                              vmax[j0:j0 + TILE_COLS], band)
+            return out
+
+        return None, (est_v, psi_true, None, leaving)
     count_type = np.min_scalar_type(p.n_max)
     sc = np.empty((m, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
         sc[i:i + len(u)] = np.cumsum(u < p.truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
-    return lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]),
-                                 0.25 / ns[j0:j1]), p.truth, _arcsine_back_map, sc
+    return sc, (lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]),
+                                      0.25 / ns[j0:j1]), p.truth, _arcsine_back_map,
+                functools.partial(_rows_leaving, sc))
 
 
 def _chunk(plans, setup, r0, r1):
@@ -529,14 +634,14 @@ def _chunk(plans, setup, r0, r1):
     chain of _setup's (ns, chains) each link flags the rows its predecessor passes on (all for
     the first): the noncovered ones of _closed_form_flags, the contradicted of _level_set_flags."""
     ns, chains = setup
-    est_v, truth, bounds, sc = _draw(plans[0], ns, r0, r1)
+    sc, stats = _draw(plans[0], ns, r0, r1)
     counts = np.zeros((len(plans), 2), dtype=np.int64)
     for chain in chains:
         prior = np.ones(r1 - r0, dtype=bool)
         for k, *link in chain:
             counts[k], prior = (
                 _level_set_flags(plans[k], sc, ns, *link, prior) if _level_set(plans[k]) else
-                _closed_form_flags(plans[k], *link, ns.size, est_v, truth, bounds, prior))
+                _closed_form_flags(plans[k], *link, ns, stats, prior))
     return counts
 
 

@@ -89,6 +89,24 @@ class TestRobbinsRegion:
         assert iv.lower == pytest.approx(float(lower), abs=BISECT_XTOL)
         assert iv.upper == pytest.approx(float(upper), abs=BISECT_XTOL)
 
+    @pytest.mark.parametrize("n", [10 ** k for k in range(6, 13)])
+    def test_endpoints_near_support_bound_to_relative_precision(self, n):
+        # both endpoints lie within the absolute xtol of the bound 0 from n = 1e9 on; the
+        # lower one was returned as 0 from n = 1e8 and the upper as 2.99e-10 at n = 1e12
+        stat = bernoulli.BernoulliSuffStat(n, 1)
+        ll = bernoulli.binomial_loglik(stat)
+        threshold = ll.mle_loglik - 2.0
+        iv = concave_level_set(ll, threshold)
+        lower, upper = bernoulli.binomial_level_set(1, n, 2.0)
+        assert iv.lower == pytest.approx(float(lower), rel=1e-6)
+        # binomial_level_set's far endpoint drifts past n = 1e10: 6.2e-6 relative at
+        # 1e11 and 6.8e-5 at 1e12, against a 50-digit solve
+        assert iv.upper == pytest.approx(float(upper), rel=1e-6 if n <= 10 ** 10 else 1e-4)
+        for theta in (iv.lower, iv.upper):
+            # a relative step of 1e-6 from theta moves l by 1e-6 theta |l'(theta)|
+            slope = abs(1.0 / theta - (n - 1) / (1.0 - theta))
+            assert abs(ll(theta) - threshold) <= 1e-6 * theta * slope
+
     def test_level_set_hits_threshold(self):
         stat = bernoulli.BernoulliSuffStat(137, 52)
         weight = BetaWeight(2.0, 3.0)

@@ -243,6 +243,59 @@ class TestKernelsMatchMonitorReplay:
             _assert_rates_at_tile_widths(monkeypatch, plan,
                                          _slow_flags(replay, psi_true, reps, seed))
 
+    # eps 0.5 gives each mixture closed form its narrowest band, and n_min 1 its most
+    # jagged looks: many rows leave the band and take the exact scan, many stay inside
+    @pytest.mark.parametrize("model", list(Model))
+    def test_closed_form_rows_grazing_the_band(self, monkeypatch, model):
+        n_max, reps, seed, lvl = 150, 60, 41, PersistenceLevel(0.5)
+        ns = range(1, n_max + 1)
+        if model == Model.NORMAL_KNOWN_VAR:
+            truth, s2, w = 0.3, 2.0, NormalWeight(0.5, 1.5)
+
+            def replay(rng, mon):
+                y = np.cumsum(truth + math.sqrt(s2) * rng.standard_normal(n_max))
+                for n in ns:
+                    mon.update(normal.robbins_interval_known_var(
+                        normal.NormalSuffStat(n, y[n - 1] / n), s2, w, lvl))
+
+            plan = SequencePlan(model, truth, Rule.ROBBINS_EXACT, 0.5, w, sigma0_sq=s2)
+        elif model == Model.BERNOULLI:
+            truth, w = 0.6, NormalWeight(0.9, 0.1)
+
+            def replay(rng, mon):
+                s = np.cumsum(rng.random(n_max) < truth)
+                for n in ns:
+                    mon.update(bernoulli.arcsine_approx_interval(
+                        bernoulli.BernoulliSuffStat(n, int(s[n - 1])), w, lvl))
+
+            plan = SequencePlan(model, truth, Rule.ROBBINS_APPROX, 0.5, w)
+        else:
+            (th1, th2), w = (0.25, 0.4), NormalWeight(0.0, 5.0)
+            truth = math.log(th1 * (1 - th2) / (th2 * (1 - th1)))
+
+            def replay(rng, mon):
+                u = rng.random((2, n_max))
+                s1, s2 = np.cumsum(u[0] < th1), np.cumsum(u[1] < th2)
+                for n in ns:
+                    mon.update(two_bernoulli.approx_interval_log_odds(
+                        two_bernoulli.TwoSampleStat(n, n, int(s1[n - 1]), int(s2[n - 1])), w, lvl))
+
+            plan = SequencePlan(model, (th1, th2), Rule.ROBBINS_APPROX, 0.5, w)
+        plan = dataclasses.replace(plan, n_min=1, n_max=n_max, reps=reps, seed=seed)
+        slow = _slow_flags(replay, truth, reps, seed)
+        assert 0 < slow[0] < slow[1] < reps
+        # at a margin of 0.9 the normal and arcsine bands are empty, so every row takes the
+        # exact scan (two-Bernoulli: almost every row); no bit may move either way
+        for margin, (least, most) in ((simulation._BAND_MARGIN, (0.2, 0.8)), (0.9, (0.9, 1.0))):
+            monkeypatch.setattr(simulation, "_BAND_MARGIN", margin)
+            looks = np.arange(1, n_max + 1)
+            band = simulation._closed_form_band(plan, looks, simulation._threshold(plan))
+            if margin == 0.9 and model != Model.TWO_BERNOULLI:
+                assert np.all(band[0] > band[1])       # empty at every look
+            leaving = simulation._draw(plan, looks, 0, reps)[1][3](band, slice(None))
+            assert least * reps < np.count_nonzero(leaving) <= most * reps, margin
+            _assert_rates_at_tile_widths(monkeypatch, plan, slow)
+
 
 def _fine_bisection(s, n, T, iters=200):
     """Lower and upper endpoints of {theta: s log theta + (n-s) log(1-theta) >= T}
@@ -538,6 +591,75 @@ class TestLevelSetBands:
         assert (row.contradictions_pct, row.noncoverages_pct) == \
             (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
 
+
+class TestClosedFormBands:
+    """A mixture closed-form link scans exactly only the rows leaving its band, shrunk by
+    _BAND_MARGIN; every estimate inside must be covered by the kernel's own endpoints."""
+
+    WEIGHTS = [NormalWeight(0.0, 0.1), NormalWeight(0.0, 10.0), NormalWeight(5.0, 1.0),
+               NormalWeight(-2.0, 0.02), NormalWeight(0.8, 0.4), NormalWeight(1.4, 0.02)]
+
+    @staticmethod
+    def _band(model, truth, weight, eps, n_max, n_min=1, **kw):
+        plan = SequencePlan(model, truth, Rule.ROBBINS_APPROX if model != Model.NORMAL_KNOWN_VAR
+                            else Rule.ROBBINS_EXACT, eps, weight, n_min, n_max, **kw)
+        ns = np.arange(n_min, n_max + 1)
+        c = simulation._threshold(plan)
+        return ns, c, simulation._closed_form_band(plan, ns, c)
+
+    @pytest.mark.parametrize("theta", [0.02, 0.3, 0.98])
+    def test_arcsine_counts_inside_the_band_cover_theta(self, theta):
+        n_max = 300
+        for w in self.WEIGHTS:
+            for eps in (0.5, 0.05):
+                ns, c, (a, b) = self._band(Model.BERNOULLI, theta, w, eps, n_max)
+                assert a.dtype == b.dtype == np.min_scalar_type(n_max)
+                a, b = a.astype(np.intp), b.astype(np.intp)
+                for n, lo, hi in zip(ns, a, b):
+                    s = np.arange(n + 1)
+                    omega = bernoulli._arcsine_estimate(s, n)
+                    d = engine._half_width(np.full(s.size, 0.25 / n), omega, w, c)
+                    lower, upper = bernoulli._arcsine_back_map(omega - d, omega + d)
+                    covered = (lower <= theta) & (theta <= upper)
+                    assert np.all(covered[lo:hi + 1]), (w, eps, n)
+                    # the band is no narrower than the covered counts, up to its margin
+                    assert not covered[max(lo - 1, 0):lo].any() or lo == 0, (w, eps, n)
+                    assert not covered[hi + 1:hi + 2].any(), (w, eps, n)
+
+    @pytest.mark.parametrize("truth, sigma0_sq", [(0.0, 1.0), (0.3, 2.0), (-2.0, 0.5)])
+    def test_normal_estimates_just_inside_the_band_are_covered(self, truth, sigma0_sq):
+        for w in self.WEIGHTS:
+            for eps in (0.5, 0.05):
+                ns, c, (a, b) = self._band(Model.NORMAL_KNOWN_VAR, truth, w, eps, 4000,
+                                           sigma0_sq=sigma0_sq)
+                v = sigma0_sq / ns
+                for est in (a, np.nextafter(a, np.inf), b, np.nextafter(b, -np.inf)):
+                    d = engine._half_width(v, est, w, c)
+                    # covered, with slack to spare: the margin is far beyond rounding
+                    slack = np.minimum(truth - (est - d), est + d - truth)
+                    assert np.all(slack >= 1e-11 * (b - a + abs(truth))), (w, eps)
+                # and the band is tight: a millionth of its width outside, nothing is covered
+                for est in (a - 1e-6 * (b - a), b + 1e-6 * (b - a)):
+                    d = engine._half_width(v, est, w, c)
+                    assert not np.any((est - d <= truth) & (truth <= est + d)), (w, eps)
+
+    @pytest.mark.parametrize("psi", [math.log(0.75), 2.0, -6.0])
+    def test_two_bernoulli_estimates_inside_the_bound_are_covered(self, psi):
+        # the worst case of _log_odds_leaving: v = vmax and mu0 = est, so d is the bound's
+        # own half-width h and the margin is all the slack; estimates step across the
+        # bound's edge, 1e-9 (1 + |psi| / h) inside h
+        m, ks = simulation._BAND_MARGIN, np.linspace(-3e-7, 1e-8, 63)
+        for tau0_sq in (0.1, 10.0, 0.02):
+            for v in (0.002, 0.05, 0.6):
+                for c in (-2.0 * math.log(0.5), -2.0 * math.log(0.05)):
+                    h = math.sqrt(v * (math.log1p(tau0_sq / v) + c))
+                    est = psi + np.concatenate([-h * (1.0 + ks), h * (1.0 + ks)])
+                    inside = ~simulation._log_odds_leaving(est[:, None], np.full((est.size, 1), v),
+                                                          psi, np.array([v]), (tau0_sq, c))
+                    assert 0 < inside.sum() < est.size
+                    for e in est[inside]:
+                        d = engine._half_width(v, float(e), NormalWeight(float(e), tau0_sq), c)
+                        assert d - abs(e - psi) >= 0.5 * m * (d + abs(psi)), (tau0_sq, v, c)
 
 class TestBoundedMemory:
     """The flag scan keeps a running max/min per replication, and the level-set
