@@ -53,12 +53,13 @@ contradicted at every narrower one.
 
 Every link starts alike: a cheap compare against a band per look, then exact work only on
 the rows that leave it.  A level-set link compares the counts with the set-up's band of
-covered counts (_bands).  A mixture closed-form link compares the estimates (normal) or
-counts (arcsine) with the closed-form roots of its coverage quadratic, shrunk by a margin
-far beyond rounding (_closed_form_band; two-Bernoulli: a per-cell bound, as v varies by
-cell), and scans only the rows leaving it: a row inside at every look is covered at every
-look, so it is neither noncovered nor contradicted.  Fixed-level links scan every row, as
-most of them leave their band.
+covered counts (_bands).  A mixture closed-form link compares the estimates (normal,
+two-sample log-odds) or counts (arcsine) with the closed-form roots of its coverage
+quadratic at each look's least variance in the chunk, shrunk by a margin far beyond
+rounding (_closed_form_band), and scans only the rows leaving it: the half-width grows with
+the variance, so a row inside at every look is covered at every look, and neither
+noncovered nor contradicted.  Fixed-level links scan every row, as most of them leave their
+band.
 """
 
 from __future__ import annotations
@@ -316,30 +317,26 @@ def _tally(results: Sequence[np.ndarray]) -> np.ndarray:
 _BAND_MARGIN = 1e-9
 
 
-def _closed_form_band(plan, ns, c):
-    """The estimates per look that the mixture half-width at c surely covers, or None for a
-    fixed-level rule (unscreened: most rows leave its band).  Coverage (est - t)^2 <= v (log(tv/v)
-    + c + (est - mu0)^2/tv), tv = tau0_sq + v, is quadratic in est, with roots A, B = (t - r mu0
-    -/+ sqrt(r (t - mu0)^2 + (1 - r) v (log(tv/v) + c))) / (1 - r), r = v/tv.  On [A + m, B - m],
-    d - |est - t| >= (1 - r) m / 4 (d <= B - A there); m = _BAND_MARGIN (B - A + |t| + |mu0|) /
-    (1 - r).  Normal: t is the truth and the band (a, b) bounds the running means.  Arcsine: t is
-    asin sqrt(theta), and the band maps to counts of ns (empty: a = b + 1), in the counts' type.
-    Two-Bernoulli: v varies per cell, so the band is (tau0_sq, c) of the per-cell bound of
-    _log_odds_leaving."""
+def _closed_form_band(plan, ns, c, t, v):
+    """The estimates per look that the mixture half-width at c surely covers at every variance
+    >= v, or None for a fixed-level rule (unscreened: most rows leave its band).  Coverage
+    (est - t)^2 <= v (log(tv/v) + c + (est - mu0)^2/tv), tv = tau0_sq + v, is quadratic in est,
+    with roots A, B = (t - r mu0 -/+ sqrt(r (t - mu0)^2 + (1 - r) v (log(tv/v) + c))) / (1 - r),
+    r = v/tv.  On [A + m, B - m], d - |est - t| >= (1 - r) m / 4 (d <= B - A there); m =
+    _BAND_MARGIN (B - A + |t| + |mu0|) / (1 - r).  Each term on the right, v log1p(tau0_sq/v),
+    v c and v (est - mu0)^2/(tau0_sq + v), is non-decreasing in v, so d only grows with v and a
+    cell of larger variance inside the band is covered too.  t and v are _draw's: the truth on
+    the estimate scale and each look's least variance.  The arcsine band maps to counts of ns
+    (empty: a = b + 1), in the counts' type."""
     w = plan.weight
     if w is None:
         return None
-    if plan.model == Model.TWO_BERNOULLI:
-        return w.tau0_sq, c
-    arcsine = plan.model == Model.BERNOULLI
-    v = (0.25 if arcsine else plan.sigma0_sq) / ns
-    t = math.asin(math.sqrt(plan.truth)) if arcsine else plan.truth
     tv = w.tau0_sq + v
     r, q = v / tv, w.tau0_sq / tv          # r and 1 - r
     root = np.sqrt(r * (t - w.mu0) ** 2 + q * v * (np.log(tv / v) + c))
     m = _BAND_MARGIN * (2.0 * root / q + abs(t) + abs(w.mu0))
     a, b = (t - r * w.mu0 - root + m) / q, (t - r * w.mu0 + root - m) / q
-    if not arcsine:
+    if plan.model != Model.BERNOULLI:
         return a, b
     lo = np.ceil(ns * np.sin(np.maximum(a, 0.0)) ** 2)
     hi = np.floor(ns * np.sin(np.minimum(b, 0.5 * math.pi)) ** 2)
@@ -367,36 +364,23 @@ def _rows_leaving(x, band, rows):
     return out
 
 
-def _log_odds_leaving(est, v, psi, vmax, band):
-    """Whether each row of a two-Bernoulli tile (estimates est, variances v) leaves its band
-    (tau0_sq, c) of _closed_form_band at some look: (|est - psi| + m |psi|)^2 > (1 - m)^2 v
-    (log1p(tau0_sq / vmax) + c), m = _BAND_MARGIN, vmax >= v per look.  As log(tv/v) >=
-    log1p(tau0_sq / vmax), a cell inside has d - |est - psi| >= m (d + |psi|)."""
-    tau0_sq, c = band
-    dev = np.abs(est - psi)
-    dev += _BAND_MARGIN * abs(psi)
-    dev *= dev
-    v = v * ((1.0 - _BAND_MARGIN) ** 2 * (np.log1p(tau0_sq / vmax) + c))
-    return (dev > v).any(axis=1)
-
-
 def _closed_form_flags(plan, c, ns, stats, prior):
     """((contradicted, noncovered) counts, noncovered mask) of est +/- d on a chunk monitored
     at ns, on the rows prior holds that leave the plan's _closed_form_band at c (all of them
     for a fixed-level rule): a row inside it is covered at every look.  The band is built per
     chunk, as a pickled copy per link in every chunk's task costs the caller more memory than
-    building it costs time.  stats = (est_v, truth, bounds, leaving) of _draw: leaving(band,
-    rows) marks the rows that leave the band; est_v(j0, j1, rows) gives their estimates and
-    variances on the columns [j0, j1) of one tile, TILE_COLS columns per CHUNK_REPS // rows
-    (rows: an index array, or slice(None) for all, so tiles are views), and d =
-    engine._z_half_width (fixed-level rules) or _half_width at c.  The running max of lower
-    and min of upper endpoints are carried across the tiles, mapped to the parameter scale by
-    bounds(maxlo, minup) when given, and flagged at the end."""
-    est_v, truth, bounds, leaving = stats
+    building it costs time.  stats = (est_v, truth, bounds, (x, t, vmin)) of _draw: the rows
+    whose x leaves the band at (t, vmin) at some look are found by _rows_leaving; est_v(j0,
+    j1, rows) gives their estimates and variances on the columns [j0, j1) of one tile,
+    TILE_COLS columns per CHUNK_REPS // rows (rows: an index array, or slice(None) for all, so
+    tiles are views), and d = engine._z_half_width (fixed-level rules) or _half_width at c.
+    The running max of lower and min of upper endpoints are carried across the tiles, mapped
+    to the parameter scale by bounds(maxlo, minup) when given, and flagged at the end."""
+    est_v, truth, bounds, (x, t, vmin) = stats
     rows = slice(None) if prior.all() else np.flatnonzero(prior)
-    if (band := _closed_form_band(plan, ns, c)) is not None:
+    if (band := _closed_form_band(plan, ns, c, t, vmin)) is not None:
         prior = np.zeros_like(prior)
-        prior[rows] = leaving(band, rows)
+        prior[rows] = _rows_leaving(x, band, rows)
         rows = np.flatnonzero(prior)
     lo, up = np.full((2, np.count_nonzero(prior)), [[-np.inf], [np.inf]])
     width = TILE_COLS * max(1, CHUNK_REPS // max(lo.size, 1))
@@ -577,12 +561,12 @@ def _setup(plans):
 
 def _draw(plan, ns, r0, r1):
     """(counts, stats) of replications r0..r1-1 at ns: the success counts (replications x ns)
-    of the Bernoulli model (else None), and stats = (est_v, truth, bounds, leaving) as
-    _closed_form_flags takes them.  Normal: running means, leaving a band (a, b) per look;
-    two-Bernoulli: the paired corrected log-odds (estimate over s1, variance over s2), the
-    log-odds ratio as truth, leaving by _log_odds_leaving with each look's largest variance in
-    the chunk; Bernoulli: the arcsine estimates, mapped back by _arcsine_back_map, and the
-    counts leaving a band of counts."""
+    of the Bernoulli model (else None), and stats = (est_v, truth, bounds, (x, t, vmin)) as
+    _closed_form_flags takes them: x is compared with the _closed_form_band at the truth t on
+    the estimate scale and each look's least variance vmin.  Normal: the running means as x;
+    two-Bernoulli: the paired corrected log-odds (estimate over s1 = x, variance over s2, vmin
+    its least in the chunk), the log-odds ratio as truth; Bernoulli: the arcsine estimates,
+    mapped back by _arcsine_back_map, with the counts as x."""
     p, m = plan, r1 - r0
     if p.model == Model.NORMAL_KNOWN_VAR:
         v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
@@ -594,7 +578,7 @@ def _draw(plan, ns, r0, r1):
         est = total[:, p.n_min - 1:]
         est /= ns
         return None, (lambda j0, j1, rows: (est[rows, j0:j1], v[j0:j1]), p.truth, None,
-                      functools.partial(_rows_leaving, est))
+                      (est, p.truth, v))
     if p.model == Model.TWO_BERNOULLI:
         (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
         s1 = np.empty((m, ns.size))
@@ -602,31 +586,20 @@ def _draw(plan, ns, r0, r1):
         for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
             s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
             s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
-        vmax = np.empty(ns.size)
+        vmin = np.empty(ns.size)
         for j0 in range(0, ns.size, TILE_COLS):
             t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
             t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
-            vmax[j0:j0 + TILE_COLS] = t2.max(axis=0)
+            vmin[j0:j0 + TILE_COLS] = t2.min(axis=0)
         psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
-
-        def est_v(j0, j1, rows):
-            return s1[rows, j0:j1], s2[rows, j0:j1]
-
-        def leaving(band, rows):
-            out = False
-            for j0 in range(0, ns.size, TILE_COLS):
-                out = out | _log_odds_leaving(*est_v(j0, j0 + TILE_COLS, rows), psi_true,
-                                              vmax[j0:j0 + TILE_COLS], band)
-            return out
-
-        return None, (est_v, psi_true, None, leaving)
-    count_type = np.min_scalar_type(p.n_max)
+        return None, (lambda j0, j1, rows: (s1[rows, j0:j1], s2[rows, j0:j1]), psi_true, None,
+                      (s1, psi_true, vmin))
+    count_type, v = np.min_scalar_type(p.n_max), 0.25 / ns
     sc = np.empty((m, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
         sc[i:i + len(u)] = np.cumsum(u < p.truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
-    return sc, (lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]),
-                                      0.25 / ns[j0:j1]), p.truth, _arcsine_back_map,
-                functools.partial(_rows_leaving, sc))
+    return sc, (lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]), v[j0:j1]),
+                p.truth, _arcsine_back_map, (sc, math.asin(math.sqrt(p.truth)), v))
 
 
 def _chunk(plans, setup, r0, r1):
@@ -652,6 +625,7 @@ def _chunk(plans, setup, r0, r1):
 def _run_plans(table: str, plans, threads: int) -> list:
     """One report row per plan; each run of consecutive plans sharing data streams
     is one kernel group (grouped in order, since a list truth is no dict key)."""
+    _require_integers(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     groups = [list(g) for _, g in itertools.groupby(plans, key=lambda p: (
@@ -729,9 +703,9 @@ def reproduce_table(table_id: str, reps: int = 10_000, seed: int = 42,
     program, or pass threads=1.  Where it spawns, guard the calling script with
     ``if __name__ == "__main__":``.
     """
-    table_id = table_id.upper()
-    if table_id not in TABLE_IDS:
+    if not isinstance(table_id, str) or table_id.upper() not in TABLE_IDS:
         raise ValueError(f"table_id must be one of {TABLE_IDS}, got {table_id!r}")
+    table_id = table_id.upper()
     plans = [replace(plan, reps=reps, seed=seed) for plan in _TABLES[table_id]]
     return TableReport(table=table_id, rows=tuple(_run_plans(table_id, plans, threads)))
 

@@ -284,16 +284,20 @@ class TestKernelsMatchMonitorReplay:
         plan = dataclasses.replace(plan, n_min=1, n_max=n_max, reps=reps, seed=seed)
         slow = _slow_flags(replay, truth, reps, seed)
         assert 0 < slow[0] < slow[1] < reps
-        # at a margin of 0.9 the normal and arcsine bands are empty, so every row takes the
-        # exact scan (two-Bernoulli: almost every row); no bit may move either way
-        for margin, (least, most) in ((simulation._BAND_MARGIN, (0.2, 0.8)), (0.9, (0.9, 1.0))):
+        # at a margin of 0.9 every band is empty, so every row takes the exact scan; no bit
+        # may move either way
+        for margin in (simulation._BAND_MARGIN, 0.9):
             monkeypatch.setattr(simulation, "_BAND_MARGIN", margin)
             looks = np.arange(1, n_max + 1)
-            band = simulation._closed_form_band(plan, looks, simulation._threshold(plan))
-            if margin == 0.9 and model != Model.TWO_BERNOULLI:
+            x, t, vmin = simulation._draw(plan, looks, 0, reps)[1][3]
+            c = simulation._threshold(plan)
+            band = simulation._closed_form_band(plan, looks, c, t, vmin)
+            leaving = np.count_nonzero(simulation._rows_leaving(x, band, slice(None)))
+            if margin == 0.9:
                 assert np.all(band[0] > band[1])       # empty at every look
-            leaving = simulation._draw(plan, looks, 0, reps)[1][3](band, slice(None))
-            assert least * reps < np.count_nonzero(leaving) <= most * reps, margin
+                assert leaving == reps
+            else:
+                assert 0.2 * reps < leaving <= 0.8 * reps
             _assert_rates_at_tile_widths(monkeypatch, plan, slow)
 
 
@@ -605,7 +609,8 @@ class TestClosedFormBands:
                             else Rule.ROBBINS_EXACT, eps, weight, n_min, n_max, **kw)
         ns = np.arange(n_min, n_max + 1)
         c = simulation._threshold(plan)
-        return ns, c, simulation._closed_form_band(plan, ns, c)
+        _, t, vmin = simulation._draw(plan, ns, 0, 1)[1][3]
+        return ns, c, simulation._closed_form_band(plan, ns, c, t, vmin)
 
     @pytest.mark.parametrize("theta", [0.02, 0.3, 0.98])
     def test_arcsine_counts_inside_the_band_cover_theta(self, theta):
@@ -643,23 +648,42 @@ class TestClosedFormBands:
                     d = engine._half_width(v, est, w, c)
                     assert not np.any((est - d <= truth) & (truth <= est + d)), (w, eps)
 
-    @pytest.mark.parametrize("psi", [math.log(0.75), 2.0, -6.0])
-    def test_two_bernoulli_estimates_inside_the_bound_are_covered(self, psi):
-        # the worst case of _log_odds_leaving: v = vmax and mu0 = est, so d is the bound's
-        # own half-width h and the margin is all the slack; estimates step across the
-        # bound's edge, 1e-9 (1 + |psi| / h) inside h
-        m, ks = simulation._BAND_MARGIN, np.linspace(-3e-7, 1e-8, 63)
-        for tau0_sq in (0.1, 10.0, 0.02):
-            for v in (0.002, 0.05, 0.6):
-                for c in (-2.0 * math.log(0.5), -2.0 * math.log(0.05)):
-                    h = math.sqrt(v * (math.log1p(tau0_sq / v) + c))
-                    est = psi + np.concatenate([-h * (1.0 + ks), h * (1.0 + ks)])
-                    inside = ~simulation._log_odds_leaving(est[:, None], np.full((est.size, 1), v),
-                                                          psi, np.array([v]), (tau0_sq, c))
-                    assert 0 < inside.sum() < est.size
-                    for e in est[inside]:
-                        d = engine._half_width(v, float(e), NormalWeight(float(e), tau0_sq), c)
-                        assert d - abs(e - psi) >= 0.5 * m * (d + abs(psi)), (tau0_sq, v, c)
+    @pytest.mark.parametrize("truth", [(0.2, 0.25), (0.6, 0.1), (0.03, 0.9)])
+    def test_two_bernoulli_estimates_inside_the_band_are_covered(self, truth):
+        # the band is taken at each look's least variance in the chunk; estimates stepping
+        # across both edges must be covered at that variance and at any larger one, with
+        # slack of a fraction of the margin, and no longer so just below it
+        n_min, n_max, reps, seed = 20, 400, 40, 7
+        ns = np.arange(n_min, n_max + 1)
+        vmin = np.full(ns.size, np.inf)
+        for r in range(reps):      # the chunk's cell variances, drawn as the kernel draws them
+            u = replication_rng(seed, r).random((2, n_max))
+            s1, s2 = (np.cumsum(u[j] < truth[j])[n_min - 1:].astype(float) for j in (0, 1))
+            vmin = np.minimum(vmin, two_bernoulli._corrected_log_odds(ns, ns, s1, s2)[1])
+        psi = math.log(truth[0] * (1 - truth[1]) / (truth[1] * (1 - truth[0])))
+        ks = np.concatenate([[0.0], np.linspace(-2e-8, 2e-8, 81)])
+        for w in self.WEIGHTS:
+            for eps in (0.5, 0.05):
+                plan = SequencePlan(Model.TWO_BERNOULLI, truth, Rule.ROBBINS_APPROX, eps, w,
+                                    n_min, n_max, reps, seed)
+                c = simulation._threshold(plan)
+                _, t, v = simulation._draw(plan, ns, 0, reps)[1][3]
+                a, b = simulation._closed_form_band(plan, ns, c, t, v)
+                assert t == psi and np.all(a < b), (w, eps)
+                margin = simulation._BAND_MARGIN * (b - a + abs(psi) + abs(w.mu0))
+                est = np.concatenate([a + np.multiply.outer(ks, b - a),
+                                      b - np.multiply.outer(ks, b - a)])
+                est[0], est[ks.size] = np.nextafter(a, b), np.nextafter(b, a)
+                inside = (a <= est) & (est <= b)
+                assert 0 < np.count_nonzero(inside) < inside.size
+                for scale in (1.0, 1.5, 10.0):
+                    d = engine._half_width(scale * vmin, est, w, c)
+                    slack = np.minimum(psi - (est - d), est + d - psi)
+                    assert np.all((slack >= 0.2 * margin)[inside]), (w, eps, scale)
+                # just below the least variance, the band is too wide
+                d = engine._half_width((1.0 - 1e-6) * vmin, est, w, c)
+                assert not np.all(((est - d <= psi) & (psi <= est + d))[inside]), (w, eps)
+
 
 class TestBoundedMemory:
     """The flag scan keeps a running max/min per replication, and the level-set
@@ -893,15 +917,22 @@ class TestDeterminism:
         rows = [run_plan(plan, threads=t) for t in (1, 2, 8)]
         assert rows[0] == rows[1] == rows[2]
 
-    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, 2.5, True])
     def test_threads_below_one_rejected(self, threads):
-        # a thread count below one once ran serially without a word
+        # a thread count below one once ran serially without a word, and a non-integer one
+        # ran on small plans or failed with a TypeError inside the worker pool
         plan = SequencePlan(model=Model.BERNOULLI, truth=0.4, rule=Rule.LIKELIHOOD_RATIO,
                             level=0.9, n_min=5, n_max=20, reps=3)
         with pytest.raises(ValueError, match="threads"):
             run_plan(plan, threads=threads)
         with pytest.raises(ValueError, match="threads"):
             reproduce_table("T1", reps=3, threads=threads)
+
+    @pytest.mark.parametrize("table_id", ["T6", 3, None])
+    def test_unknown_table_rejected(self, table_id):
+        # a table id that is no string once failed on its .upper()
+        with pytest.raises(ValueError, match="table_id must be one of"):
+            reproduce_table(table_id, reps=3)
 
     # sha256 of reproduce_table(table, reps=300, seed=42).csv_text(); every kernel
     # formula feeds one of them, the exact-rule Bernoulli drop through T4
