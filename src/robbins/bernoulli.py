@@ -218,6 +218,19 @@ def _arcsine_back_map(lower, upper):
     return np.sin(np.maximum(lower, 0.0)) ** 2, np.sin(np.minimum(upper, 0.5 * pi)) ** 2
 
 
+def _ratio_reaches(s: int, n: int, theta: float, weight: BetaWeight, k: float) -> bool:
+    """Whether q_n/p_n = (alpha)_s (beta)_{n-s} / ((alpha+beta)_n theta^s (1-theta)^{n-s}) >= k
+    at s successes of n, exactly: in integers from each float's as_integer_ratio()."""
+    def rising(x, step, m):     # x (x + step) ... (x + (m - 1) step), big factors in pairs
+        return math.prod(x + i * step for i in range(m)) if m <= 16 else (
+            rising(x, step, m // 2) * rising(x + m // 2 * step, step, m - m // 2))
+    (a, da), (b, db), (t, dt), (kn, dk) = (
+        float(x).as_integer_ratio() for x in (weight.alpha, weight.beta, theta, k))
+    ab, d = a * db + b * da, da * db          # alpha + beta = ab / d
+    return (rising(a, da, s) * rising(b, db, n - s) * dk * (d * dt) ** n
+            >= kn * rising(ab, d, n) * da ** s * db ** (n - s) * t ** s * (dt - t) ** (n - s))
+
+
 def ville_log_ratio_path(theta: float, weight: BetaWeight) -> LogRatioPath:
     """Path builder for engine.verify_ville_inequality under i.i.d. sampling at
     the true proportion theta; the binomial coefficient cancels in q_n / p_n."""

@@ -341,12 +341,13 @@ def cmd_ville_check(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     verdict = "PASS" if res.passed else "FAIL"
+    fields = {"estimate": res.estimate, "bound": res.bound, "std_error": res.std_error,
+              "crossings": res.crossings, "reps": res.reps, "k": res.k, "n_max": args.nmax,
+              "model": model, "theta": theta, "seed": args.seed, "verdict": verdict}
     if args.format == "json":
-        print(json.dumps({"estimate": res.estimate, "bound": res.bound,
-                          "std_error": res.std_error, "crossings": res.crossings,
-                          "reps": res.reps, "k": res.k, "n_max": args.nmax,
-                          "model": model, "theta": theta, "seed": args.seed,
-                          "verdict": verdict}))
+        print(json.dumps(fields))
+    elif args.format == "csv":              # one header row and one value row, as interval's
+        print(",".join(fields) + "\n" + ",".join(map(str, fields.values())))
     else:
         print(f"crossing estimate {res.estimate:.4f} (se {res.std_error:.4f}) "
               f"vs bound 1/k = {res.bound:.4f}: {verdict}")

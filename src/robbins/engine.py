@@ -334,8 +334,8 @@ class LogRatioPath:
 
 @dataclass(frozen=True)
 class VilleCheckResult:
-    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound; where q_n / p_n
-    is within rounding of k, even above it, float rounding decides (verify_ville_inequality)."""
+    """Monte Carlo estimate of P(sup_n q_n / p_n >= k) against the 1/k bound, exact at Bernoulli
+    ties q_n / p_n = k up to n_max 20 000 (verify_ville_inequality)."""
 
     estimate: float
     bound: float
@@ -349,50 +349,25 @@ class VilleCheckResult:
         return self.estimate <= self.bound + 3.0 * self.std_error
 
 
-def _kernel_plan(path, k, n_max, reps, seed):
-    """(plan, simulation._setup) of the exact-rule cell at level 1/k from n = 1 that counts the
-    crossings, or None (run the loop): no LogRatioPath, n_max > 20 000, or a Bernoulli band edge
-    within the kernel's margin of log k, where its strict count may differ from the loop's >=."""
-    from .simulation import Model, Rule, SequencePlan, _excess, _setup
-    if not (isinstance(path, LogRatioPath) and n_max <= 20_000):    # chunk <= 39 MiB
-        return None
-    plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k,
-                        path.weight, 1, n_max, reps, seed, path.sigma0_sq)
-    ns, chains = setup = _setup([plan])
-    if plan.model == Model.BERNOULLI:
-        [[(_, tables, band)]], j = chains, np.tile(np.arange(n_max), 4)
-        a, b = band.astype(np.intp)        # stored unsigned: a - 1 would wrap at 0
-        s = np.clip(np.concatenate([a - 1, a, b, b + 1]), 0, ns[j])
-        if np.any(np.abs(_excess(tables, ns, np.array([path.truth]))(0, s, j)) <= tables[3][j]):
-            return None
-    return plan, setup
-
-
 def verify_ville_inequality(log_ratio_path: Callable[[np.random.Generator, int], np.ndarray],
                             k: float, n_max: int, reps: int, seed: int) -> VilleCheckResult:
-    """Estimate the probability that the mixture-to-truth likelihood ratio ever
-    reaches k > 1 within n_max samples; the supermartingale bound caps it at 1/k.
+    """Estimate P(q_n / p_n >= k at some n <= n_max), k > 1, which Ville's bound caps at 1/k.
 
-    log_ratio_path(rng, n_max) must return the replication's path of
-    log(q_n / p_n(theta_true)) for n = 1..n_max.  Replication r always draws
-    from the (seed, r) counter stream, so the estimate is independent of any
-    parallel scheduling by the caller.  A LogRatioPath runs as a table-kernel cell
-    in-process (see _kernel_plan), holding one CHUNK_REPS x n_max chunk (normal:
-    float64 sums, 39 MiB at n_max 20 000; Bernoulli: small counts); else the loop
-    holds one O(n_max) path at a time.  Under the CLI's Bernoulli defaults (theta 1/2, Beta(1, 1))
-    q_n/p_n = k at k = 2, 16 (s = 0 or n at n = 3, 7), where float rounding of log B decides
-    (counted at 16, not 2); q_2/p_2 = 4/3 exceeds the float 4/3, yet its float log-ratio rounds
-    below log k and is missed.  These three take the loop.
-    """
-    from .simulation import _chunk, _slices, replication_rng
+    log_ratio_path(rng, n_max) must return the replication's path of log(q_n / p_n(theta_true))
+    for n = 1..n_max; replication r draws from the (seed, r) counter stream, whatever the
+    caller's scheduling.  A LogRatioPath up to n_max 20 000 runs in-process as a table-kernel
+    cell (simulation._crossings), exact at Bernoulli ties q_n/p_n = k, in chunks of at most 32
+    STREAM_CELLS cells (a traced peak of 44 MiB for the normal path at n_max 20 000).  The cap
+    bounds the exact test, ~n^1.6 (~2 s per count at n 100 000).  Past it, and for a plain
+    callable, a loop holds one path at a time; float rounding decides a tie there."""
     if not 1.0 < k < math.inf:
         raise ValueError(f"k must satisfy 1 < k < inf, got {k}")
     _require_integers(n_max=n_max, reps=reps, seed=seed)
     if not (reps >= 1 and n_max >= 1):
         raise ValueError(f"need reps >= 1 and n_max >= 1, got reps={reps}, n_max={n_max}")
-    if (kernel := _kernel_plan(log_ratio_path, k, n_max, reps, seed)) is not None:
-        plan, setup = kernel
-        crossings = sum(int(_chunk([plan], setup, r0, r1)[0][1]) for r0, r1 in _slices(plan))
+    from .simulation import _crossings, replication_rng
+    if isinstance(log_ratio_path, LogRatioPath) and n_max <= 20_000:
+        crossings = _crossings(log_ratio_path, k, n_max, reps, seed)
     else:
         log_k, crossings = math.log(k), 0
         for r in range(reps):

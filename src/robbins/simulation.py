@@ -80,7 +80,7 @@ import numpy as np
 
 from ._special import betaln, gammaln, ndtri, xlogy
 from .bernoulli import (EndpointSolveError, _arcsine_back_map, _arcsine_estimate, _level_set_drop,
-                        binomial_level_set)
+                        _ratio_reaches, binomial_level_set)
 from .core import BetaWeight, NormalWeight, WeightSpec, _require_integers, _require_sigma0_sq
 from .engine import _half_width, _z_half_width
 from .two_bernoulli import _corrected_log_odds
@@ -616,6 +616,25 @@ def _chunk(plans, setup, r0, r1):
                 _level_set_flags(plans[k], sc, ns, *link, prior) if _level_set(plans[k]) else
                 _closed_form_flags(plans[k], *link, ns, stats, prior))
     return counts
+
+
+def _crossings(path, k, n_max, reps, seed) -> int:
+    """Replications r < reps of the LogRatioPath's model with q_n/p_n >= k at some n <= n_max:
+    the noncovered count of the exact-rule cell at level 1/k from n = 1.  A Bernoulli band edge
+    whose count a - 1, a, b or b + 1 lies within the margin of log k moves by one count where
+    bernoulli._ratio_reaches disagrees, so the band holds exactly the counts with q_n/p_n < k."""
+    plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k, path.weight,
+                        1, n_max, reps, seed, path.sigma0_sq)
+    ns, chains = setup = _setup([plan])
+    if plan.model == Model.BERNOULLI:
+        [[(_, tables, band)]], j = chains, np.tile(np.arange(n_max), 4)
+        s = np.clip((band.astype(np.intp)[[0, 0, 1, 1]] + [[-1], [0], [0], [1]]).ravel(), 0, ns[j])
+        near = np.abs(_excess(tables, ns, np.array([path.truth]))(0, s, j)) <= tables[3][j]
+        for e in np.flatnonzero(near).tolist():
+            x, i, w = int(s[e]), e % n_max, e // n_max  # w: a - 1, a, b, b + 1 (intp: a - 1 < 0)
+            if _ratio_reaches(x, i + 1, path.truth, path.weight, k) == (w in (1, 2)):
+                band[w // 2, i] = x + (w == 1) - (w == 2)
+    return sum(int(_chunk([plan], setup, r0, r1)[0][1]) for r0, r1 in _slices(plan))
 
 
 # ---------------------------------------------------------------------------

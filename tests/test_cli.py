@@ -409,6 +409,22 @@ class TestVilleCheckCommand:
         assert obj["verdict"] == "PASS"
         assert obj["estimate"] <= obj["bound"] + 3 * obj["std_error"] + 1e-12
 
+    def test_csv_is_a_header_and_a_row_of_the_json_fields(self, capsys):
+        # --format csv once printed the plain-text report
+        argv = ("ville-check", "--model", "bernoulli", "--k", "5", "--reps", "50", "--nmax", "100")
+        rc, out, _ = run(capsys, *argv, "--format", "csv")
+        obj = json.loads(run(capsys, *argv, "--format", "json")[1])
+        assert rc == 0
+        assert list(csv.reader(out.splitlines())) == [list(obj), [str(v) for v in obj.values()]]
+
+    def test_bernoulli_default_tie_counts(self, capsys):
+        # under the defaults (theta 0.5, beta:1,1) q_3/p_3 = 2 exactly at s = 0 or 3; the float
+        # loop that once ran here counted 0 of these 97 crossings
+        rc, out, _ = run(capsys, "ville-check", "--model", "bernoulli", "--k", "2", "--nmax", "3",
+                         "--reps", "400", "--seed", "1", "--format", "json")
+        assert rc == 0
+        assert '"crossings": 97' in out
+
 
 class TestSimulateCommand:
     def test_writes_csv(self, capsys, tmp_path):

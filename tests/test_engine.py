@@ -1,5 +1,7 @@
+import functools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from robbins.engine import (BISECT_XTOL, ConcaveLogLikelihood, NoBracketError, N
                             ThresholdAboveMaxError, closed_form_half_width, concave_level_set,
                             laplace_log_mixture, quadrature_log_mixture, robbins_region,
                             trapezoid_log_mixture, verify_ville_inequality)
-from robbins.simulation import CHUNK_REPS
+from robbins.simulation import CHUNK_REPS, replication_rng
 
 EPS02 = PersistenceLevel(0.2)
 
@@ -314,6 +316,43 @@ class TestTrapezoid:
 # crossing-probability bound
 # ---------------------------------------------------------------------------
 
+class LoopRan(Exception):
+    """Raised by a crossing path whose per-replication loop must not run."""
+
+
+def exact_ratios(theta, a, b, n_max):
+    """q_n/p_n at every (n, s), n = 1..n_max, as Fractions: rows[n - 1][s]."""
+    t, a, b = Fraction(theta), Fraction(a), Fraction(b)
+    rows, row = [], [Fraction(1)]
+    for n in range(1, n_max + 1):
+        row = [(row[s] * (b + n - 1 - s) / (1 - t) if s < n else row[s - 1] * (a + s - 1) / t)
+               / (a + b + n - 1) for s in range(n + 1)]
+        rows.append(row)
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def exact_first_crossings(theta, a, b, k, n_max, reps, seed):
+    """Per replication, the first n with q_n/p_n >= k (0 for none by n_max), replayed in
+    rationals on the replication_rng streams; each (n, s) ratio is computed once, from the
+    cell before it on the first path through it."""
+    t, a, b, k = map(Fraction, (theta, a, b, k))
+    ratio, first = {(0, 0): Fraction(1)}, []
+    for r in range(reps):
+        s = np.cumsum(replication_rng(seed, r).random(n_max) < theta).tolist()
+        prev, hit = 0, 0
+        for n, cur in enumerate(s, 1):
+            if (n, cur) not in ratio:
+                step = (a + prev) / t if cur > prev else (b + n - 1 - prev) / (1 - t)
+                ratio[n, cur] = ratio[n - 1, prev] * step / (a + b + n - 1)
+            if ratio[n, cur] >= k:
+                hit = n
+                break
+            prev = cur
+        first.append(hit)
+    return first
+
+
 class TestVille:
     def test_normal_k5(self):
         path = normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0))
@@ -354,35 +393,72 @@ class TestVille:
                                        reps=300, seed=seed)
         assert kernel == loop
 
-    @pytest.mark.parametrize("n_max", [3, 7, 300])
-    @pytest.mark.parametrize("theta, a, b, k", [
-        (0.5, 1.0, 1.0, 4 / 3), (0.5, 1.0, 1.0, 2.0), (0.5, 1.0, 1.0, 16.0),
-        (0.25, 1.0, 1.0, 2.0), (0.5, 0.5, 0.5, 1.5)])
-    def test_kernel_route_equals_loop_on_exact_ties(self, theta, a, b, k, n_max):
-        # q_n/p_n equals k exactly at some (n, s): under theta 1/2 and Beta(1, 1) it is
-        # 4/3 at n = 2, 2 at n = 3 and 16 at n = 7 with s = 0 or n.  The kernel counts a
-        # strict exceedance (by 0 and 6 of 400 at k = 16, n_max 7), so these run the loop.
-        path = bernoulli.ville_log_ratio_path(theta, BetaWeight(a, b))
-        kernel = verify_ville_inequality(path, k=k, n_max=n_max, reps=400, seed=1)
-        loop = verify_ville_inequality(lambda rng, n: path(rng, n), k=k, n_max=n_max,
-                                       reps=400, seed=1)
-        assert kernel == loop
+    # crossings of k at 400 reps, seed 1, by n_max 3, 7 and 300.  Under theta 1/2 and
+    # Beta(1, 1), q_n/p_n is exactly 2 at n = 3 and 16 at n = 7 (s = 0 or n), and 4/3 at n = 2
+    # exceeds the float 4/3 while its float log-ratio rounds below log k.  The float loop
+    # counts 97/131/210 at 4/3 and 0/72/142 at 2; a strict count at theta 1/4, k = 2 would be
+    # 27/52/110, so the kernel must count q_n/p_n >= k.
+    TIES = {(0.5, 1.0, 1.0, 4 / 3): (203, 226, 279), (0.5, 1.0, 1.0, 2.0): (97, 113, 174),
+            (0.5, 1.0, 1.0, 16.0): (0, 6, 11), (0.25, 1.0, 1.0, 2.0): (108, 123, 169),
+            (0.5, 0.5, 0.5, 1.5): (203, 209, 247)}
 
-    def test_kernel_route_taken(self):
-        path = bernoulli.ville_log_ratio_path(0.3, BetaWeight(1.0, 1.0))
-        assert engine._kernel_plan(path, 10.0, 4000, 2000, 42) is not None
-        assert engine._kernel_plan(path, 10.0, 20_001, 2000, 42) is None
-        assert engine._kernel_plan(lambda rng, n: path(rng, n), 10.0, 4000, 2000, 42) is None
-        # the first tie of q_n/p_n = 16 under theta 1/2 and Beta(1, 1) is at n = 7
-        tied = bernoulli.ville_log_ratio_path(0.5, BetaWeight(1.0, 1.0))
-        assert engine._kernel_plan(tied, 16.0, 6, 400, 1) is not None
-        assert engine._kernel_plan(tied, 16.0, 7, 400, 1) is None
+    @pytest.mark.parametrize("n_max", [3, 7, 300])
+    @pytest.mark.parametrize("setting", list(TIES),
+                             ids=lambda s: "theta={}-Beta({},{})-k={}".format(*s))
+    def test_kernel_count_equals_exact_replay(self, setting, n_max):
+        path = bernoulli.ville_log_ratio_path(setting[0], BetaWeight(*setting[1:3]))
+        res = verify_ville_inequality(path, k=setting[3], n_max=n_max, reps=400, seed=1)
+        first = exact_first_crossings(*setting, n_max=300, reps=400, seed=1)
+        assert res.crossings == sum(0 < n <= n_max for n in first)
+        assert res.crossings == self.TIES[setting][(3, 7, 300).index(n_max)]
+
+    @pytest.mark.parametrize("theta, a, b", [(0.5, 1.0, 1.0), (0.25, 0.5, 0.5), (0.3, 5.0, 2.0)])
+    def test_bernoulli_crossing_band_is_exact(self, monkeypatch, theta, a, b):
+        # the kernel's band at each n holds exactly the counts with q_n/p_n < k, at ties, at
+        # k a rounding away from some q_n/p_n, and at k near 1, where the edges lie close to
+        # the log-ratio's least value and its step between counts is smallest
+        from robbins import simulation
+        setups, chunk = [], simulation._chunk
+        monkeypatch.setattr(simulation, "_chunk",
+                            lambda *args: setups.append(args[1]) or chunk(*args))
+        ratios = exact_ratios(theta, a, b, 60)
+        near = sorted({float(r) for row in ratios[20:] for r in row if 1 < r < 100})
+        path = bernoulli.ville_log_ratio_path(theta, BetaWeight(a, b))
+        for k in [2.0, 16.0, 4 / 3, 1.5, 1 + 1e-6, 1 + 1e-9] + near[::max(1, len(near) // 8)]:
+            verify_ville_inequality(path, k=k, n_max=60, reps=1, seed=1)
+            band = setups[-1][1][0][0][2]      # set-up (ns, chains): the one link's band
+            for n, row in enumerate(ratios, 1):
+                inside = [s for s, r in enumerate(row) if r < Fraction(k)]
+                assert inside == list(range(*band[:, n - 1] + [0, 1])), (k, n)
+
+    @staticmethod
+    def loop_raises(rng, n_max):
+        raise LoopRan
+
+    @pytest.mark.parametrize("model, theta, weight, k, n_max", [
+        ("bernoulli", 0.3, BetaWeight(1.0, 1.0), 10.0, 4000),
+        ("bernoulli", 0.5, BetaWeight(1.0, 1.0), 4 / 3, 7),
+        ("bernoulli", 0.5, BetaWeight(1.0, 1.0), 2.0, 3),
+        ("bernoulli", 0.5, BetaWeight(1.0, 1.0), 16.0, 300),
+        ("bernoulli", 0.5, BetaWeight(0.5, 0.5), 1.5, 20_000),
+        ("normal", 0.0, NormalWeight(0.0, 1.0), 10.0, 20_000)])
+    def test_model_paths_never_reach_the_loop(self, model, theta, weight, k, n_max):
+        # whatever the setting, ties included, a LogRatioPath up to n_max 20 000 runs the
+        # kernel; a loop would call the path's fn, which raises
+        path = engine.LogRatioPath(self.loop_raises, model, theta, weight)
+        assert verify_ville_inequality(path, k=k, n_max=n_max, reps=8, seed=1).reps == 8
+
+    def test_long_paths_and_callables_reach_the_loop(self):
+        path = engine.LogRatioPath(self.loop_raises, "bernoulli", 0.3, BetaWeight(1.0, 1.0))
+        for p, n_max in ((path, 20_001), (lambda rng, n: path(rng, n), 4000)):
+            with pytest.raises(LoopRan):
+                verify_ville_inequality(p, k=10.0, n_max=n_max, reps=8, seed=1)
 
     @pytest.mark.parametrize("theta, weight, n_max", [(0.3, BetaWeight(1.0, 1.0), 4000),
                                                       (0.5, BetaWeight(1.0, 1.0), 7)],
-                             ids=["kernel", "tie-loop"])
+                             ids=["kernel", "tie"])
     def test_bernoulli_band_computed_once(self, monkeypatch, theta, weight, n_max):
-        # the tie scan reads the band of the kernel's own set-up
+        # the exact edge pass at a tie reads the band of the kernel's own set-up
         from robbins import simulation
         calls, bands = [], simulation._bands
         monkeypatch.setattr(simulation, "_bands", lambda *args: calls.append(1) or bands(*args))

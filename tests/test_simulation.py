@@ -720,7 +720,8 @@ class TestBoundedMemory:
         normal.ville_log_ratio_path(0.0, 1.0, NormalWeight(0.0, 1.0)),
         bernoulli.ville_log_ratio_path(0.3, BetaWeight(1.0, 1.0))], ids=["normal", "bernoulli"])
     def test_long_crossing_check_runs_the_loop(self, path):
-        # a kernel chunk at n_max 100 000 would be 195 MiB of normal sums; the loop
+        # past the kernel's cap of n_max 20 000 (which bounds the exact Bernoulli tie test, not
+        # memory: the kernel traces 71 MiB for the normal path at n_max 100 000), the loop
         # holds one path
         tracemalloc.start()
         try:
