@@ -46,20 +46,24 @@ predecessor left noncovered: rounding is monotone, so each step of d and est +/-
 the order of c, and a replication covered at one level is covered, and not contradicted,
 at every wider one (the arcsine rule maps the reduced endpoints to theta, exact as
 x -> sin(max(x, 0))^2 never decreases in floating point on [0, pi/2]; a test checks it).
-A level-set plan seeks one-sided contradictions only in the rows its predecessor
-contradicted: the level sets {theta : l(theta) >= log eps + log q_n} grow as eps falls
-(the LR sets as conf rises), so a replication contradicted at a wider level is
-contradicted at every narrower one.
+A level-set plan compares only the rows its predecessor left noncovered, and seeks one-sided
+contradictions only in those it contradicted: the level sets {theta : l(theta) >= log eps +
+log q_n} grow as eps falls (the LR sets as conf rises), so a replication noncovered or
+contradicted at a wider level is so at every narrower one.
 
 Every link starts alike: a cheap compare against a band per look, then exact work only on
 the rows that leave it.  A level-set link compares the counts with the set-up's band of
-covered counts (_bands).  A mixture closed-form link compares the estimates (normal,
-two-sample log-odds) or counts (arcsine) with the closed-form roots of its coverage
-quadratic at each look's least variance in the chunk, shrunk by a margin far beyond
-rounding (_closed_form_band), and scans only the rows leaving it: the half-width grows with
-the variance, so a row inside at every look is covered at every look, and neither
-noncovered nor contradicted.  Fixed-level links scan every row, as most of them leave their
-band.
+covered counts (_bands), then seeks one-sided contradictions per look only in the blocks of
+about sqrt(n) looks that a bound cannot clear: the log-ratio at a probe v is convex in the
+successes and in the failures, and at most 0 where s = n v, so over a block's box of counts it
+is largest at a corner on its side of that line, and a block whose corners lie two margins
+below the threshold holds no look to solve (_block_screen).  A mixture closed-form link
+compares the estimates (normal, two-sample log-odds) or counts (arcsine) with the closed-form
+roots of its coverage quadratic at each look's least variance in the chunk, shrunk by a
+margin far beyond rounding (_closed_form_band), and scans only the rows leaving it: the
+half-width grows with the variance, so a row inside at every look is covered at every look,
+and neither noncovered nor contradicted.  Fixed-level links scan every row, as most of them
+leave their band.
 """
 
 from __future__ import annotations
@@ -345,22 +349,14 @@ def _closed_form_band(plan, ns, c, t, v):
     return lo.astype(np.min_scalar_type(plan.n_max)), hi.astype(np.min_scalar_type(plan.n_max))
 
 
-def _leaving(x, band):
-    """(below, above, low, high) of x (replications x looks) against band = (a, b) per look: low
-    and high mark the looks with x < a and x > b, below and above the rows with any."""
-    low, high = x < band[0], x > band[1]
-    return low.any(axis=1), high.any(axis=1), low, high
-
-
 def _rows_leaving(x, band, rows):
     """Whether each of the rows of x (replications x looks) leaves band = (a, b) per look at
-    some look, by _leaving on tiles of 16 TILE_COLS columns, so no mask of a whole chunk is
-    built (compares gain from tiles wider than the endpoint scan's)."""
+    some look, on tiles of 16 TILE_COLS columns, so no mask of a whole chunk is built
+    (compares gain from tiles wider than the endpoint scan's)."""
     out, width = False, 16 * TILE_COLS
     for j0 in range(0, x.shape[1], width):
-        cols = slice(j0, j0 + width)
-        below, above, *_ = _leaving(x[rows, cols], (band[0][cols], band[1][cols]))
-        out = out | below | above
+        t, cols = x[rows, j0:j0 + width], slice(j0, j0 + width)
+        out = out | (t < band[0][cols]).any(axis=1) | (t > band[1][cols]).any(axis=1)
     return out
 
 
@@ -445,17 +441,19 @@ def _log_ratio_tables(plan, ns, shared=None):
 
 def _excess(tables, ns, v):
     """The scaled excess (r, s, j) -> (stat(v[r]; s) - c)(1 - v[r]) at counts s of
-    ns[j], of the crossing statistic over its threshold (see _log_ratio_tables)."""
+    ns[j], of the crossing statistic over its threshold (see _log_ratio_tables); 0 at
+    every count where v[r] is 0 or 1, whose logs are infinite, so the endpoints decide."""
     A, B, C, _ = tables
-    log1m_v = np.log1p(-v)
-    logit_v = np.log(v) - log1m_v
+    w = np.where(edge := (v <= 0.0) | (v >= 1.0), 0.5, v)
+    log1m_v, scale = np.log1p(-w), np.where(edge, 0.0, 1.0 - v)
+    logit_v = np.log(w) - log1m_v
 
     def excess(r, s, j):
         ex = A.take(s)
         ex += B.take(ns[j] - s)
         ex -= s * logit_v[r]
         ex -= C[j] + ns[j] * log1m_v[r]
-        ex *= 1.0 - v[r]
+        ex *= scale[r]
         return ex
 
     return excess
@@ -489,49 +487,96 @@ def _bands(plan, ns, theta, tables):
     return a, b - 1
 
 
-def _level_set_flags(plan, sc, ns, tables, band, prior):
-    """((contradicted, noncovered) counts, contradicted mask) of a level-set plan on a
-    chunk of counts sc (replications x ns) with _log_ratio_tables and band [a, b].  A
-    row leaving the band is noncovered, and contradicted if it leaves on both sides, or
-    below only and some lower endpoint exceeds U*, the least upper endpoint at its
-    violating looks: iff stat(U*) > c there (above only: mirrored with L*).  U* starts
-    as the endpoint at the look of largest relative deficit and is lowered where
-    stat(U*) does not clear c.  A one-sided row is searched only if prior holds it: the
-    contradicted mask of the plan's predecessor in its chain (all rows for the first)."""
-    (a, b), margin = band, tables[3]
-    below, above, low, high = _leaving(sc, band)
+def _block_ends(ns):
+    """The looks ending blocks of about sqrt(n) consecutive looks of ns: block k holds looks
+    ends[k] to ends[k + 1] - 1, the last one also ends[-1], the last look."""
+    ends = [0]
+    while (j := ends[-1] + math.isqrt(int(ns[ends[-1]]))) < ns.size:
+        ends.append(j)
+    return np.array(ends + [ns.size - 1])
+
+
+def _block_screen(excess, n0, se, fe, v, low, c, margin):
+    """(ex, bound, open) of rows with counts se and fe = n - se at their block ends (rows x
+    blocks + 1; block k lies in the box [se[k], se[k+1]] x [fe[k], fe[k+1]], counts never
+    falling): ex, the excess(r, s, j) at each end (j = n - n0), bound, the largest excess of a
+    look of the box where (s < n v) == low, and open, bound >= -2 margin (per block), as corners
+    and looks round within a thousandth of the margin.  stat is convex in s and in f, and <= 0
+    where s = n v, so bound is the largest of the corners on that side and, where the box
+    crosses the line, c (v - 1)."""
+    r, vr, low = np.arange(v.size)[:, None], v[:, None], low[:, None]
+
+    def on_side(s, f):
+        ex = excess(r, s, s + f - n0)
+        return ex, np.where((s < (s + f) * vr) == low, ex, c * (vr - 1.0))
+
+    ex, at = on_side(se, fe)
+    bound = np.maximum(at[:, :-1], at[:, 1:])
+    for s, f in ((se[:, :-1], fe[:, 1:]), (se[:, 1:], fe[:, :-1])):
+        np.maximum(bound, on_side(s, f)[1], out=bound)
+    return ex, bound, bound >= -2.0 * margin
+
+
+def _block_looks(open_, ends):
+    """(r, j) per look j of each open block (row r, block k of _block_ends), in batches of about
+    CHUNK_REPS * TILE_COLS looks, so no array of a whole chunk is built."""
+    r, k = np.nonzero(open_)
+    width = ends[k + 1] - ends[k] + (k == ends.size - 2)
+    first = np.cumsum(width) - width            # each block's offset among all the looks
+    batch = first // (CHUNK_REPS * TILE_COLS)
+    for i in np.split(np.arange(r.size), np.flatnonzero(np.diff(batch)) + 1):
+        looks = np.arange(width[i].sum()) + first[i[:1]]
+        yield np.repeat(r[i], width[i]), looks + np.repeat(ends[k[i]] - first[i], width[i])
+
+
+def _level_set_flags(plan, sc, ns, tables, band, ends, prior):
+    """((contradicted, noncovered) counts, masks) of a level-set plan on a chunk of counts sc
+    (replications x ns) with _log_ratio_tables and band [a, b].  A row leaving the band is
+    noncovered, and contradicted if it leaves on both sides, or below only and some lower
+    endpoint exceeds U*, the least upper endpoint: iff stat(U*) > c there (above only: mirrored
+    with L*).  prior holds the predecessor's masks (all rows for a chain's first link): only the
+    rows leaving its narrower band are compared, and only those it contradicted are searched,
+    per look only in the blocks (_block_ends) _block_screen keeps.  U* starts at v0, the endpoint
+    at the block end of largest deficit (a block end with s > n v0 and stat(v0) > c + margin is
+    a hit at once); a look with an upper endpoint below v0 has stat(v0) > c within a hundredth
+    of the margin, so U* is the least upper endpoint where stat(v0) >= c - margin and s < n v0.
+    Where s > n U*, a look is a hit if stat(U*) > c + margin, or by its endpoints within it."""
+    (a, b), margin, (held, leaving) = band, tables[3], prior
+    below, above = np.zeros((2, sc.shape[0]), dtype=bool)
+    rows = slice(None) if leaving.all() else np.flatnonzero(leaving)
+    below[rows], above[rows] = (sc[rows] < a).any(axis=1), (sc[rows] > b).any(axis=1)
     contradicted = below & above
-    rows = np.flatnonzero((below != above) & prior)
-    side = below[rows]
-    r, j = np.divmod(np.flatnonzero(low[rows] | high[rows]), ns.size)  # all on one side
-    s, n = sc[rows[r], j].astype(np.intp), ns[j]
-    dev = np.where(side[r], a[j] - s, s - b[j]) / n
-    first = np.searchsorted(r, range(rows.size))      # each row's first violating look
-    top = np.flatnonzero(dev == np.maximum.reduceat(dev, first)[r])
-    pick = top[np.searchsorted(r[top], range(rows.size))]
-    lower, upper = _endpoints(plan, s[pick], n[pick])
-    v = np.where(side, upper, lower)
-    excess = _excess(tables, ns, v)
-    cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
-    lower, upper = _endpoints(plan, s[cand], n[cand])
-    up = side[r[cand]]
-    np.minimum.at(v, r[cand][up], upper[up])
-    np.maximum.at(v, r[cand][~up], lower[~up])
-    excess = _excess(tables, ns, v)
-    hit, near = np.zeros(rows.size, dtype=bool), []
-    for j0 in range(0, ns.size, TILE_COLS):
-        live, cols = np.flatnonzero(~hit), slice(j0, j0 + TILE_COLS)
-        s = sc[rows[live], cols].astype(np.intp)
-        ex = excess(live[:, None], s, cols)
-        rr, jj = np.divmod(np.flatnonzero(ex >= -margin[cols]), ex.shape[1])
-        over = ex[rr, jj] > margin[cols][jj]
-        hit[live[rr[over]]] = True
-        near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
-    i, s, j = (np.concatenate(x) for x in zip(*near))
-    lower, upper = _endpoints(plan, s, ns[j])
-    hit[i[np.where(side[i], lower > v[i], upper < v[i])]] = True
-    contradicted[rows[hit]] = True
-    return (np.count_nonzero(contradicted), np.count_nonzero(below | above)), contradicted
+    rows = np.flatnonzero((below != above) & held)
+    if rows.size:
+        side, se = below[rows], sc[rows[:, None], ends].astype(np.intp)
+        fe, c, i = ns[ends] - se, _threshold(plan), np.arange(rows.size)
+        k = np.argmax((np.where(side[:, None], a[ends] - se, se - b[ends]) - 0.5) / ns[ends], 1)
+        lower, upper = _endpoints(plan, se[i, k], ns[ends[k]])
+        v0 = np.where(side, upper, lower)
+        excess = _excess(tables, ns, v0)
+        ex, _, open_ = _block_screen(excess, ns[0], se, fe, v0, side, c, margin[ends[1:]])
+        hit = ((ex > margin[ends]) & ((se < ns[ends] * v0[:, None]) != side[:, None])).any(axis=1)
+        w = np.where(side, v0, -v0)       # U* = min upper, -L* = min -lower
+        for r, j in _block_looks(open_ & ~hit[:, None], ends):
+            s = sc[rows[r], j].astype(np.intp)
+            cand = (excess(r, s, j) >= -margin[j]) & ((s < ns[j] * v0[r]) == side[r])
+            lower, upper = _endpoints(plan, s[cand], ns[j[cand]])
+            np.minimum.at(w, r[cand], np.where(side[r[cand]], upper, -lower))
+        v = np.where(side, w, -w)
+        excess = _excess(tables, ns, v)
+        ex, _, open_ = _block_screen(excess, ns[0], se, fe, v, ~side, c, margin[ends[1:]])
+        hit |= (ex > margin[ends]).any(axis=1)
+        for r, j in _block_looks(open_ & ~hit[:, None], ends):
+            s = sc[rows[r], j].astype(np.intp)
+            ex = excess(r, s, j)
+            hit[r[ex > margin[j]]] = True
+            near = np.flatnonzero(np.abs(ex) <= margin[j])
+            lower, upper = _endpoints(plan, s[near], ns[j[near]])
+            r = r[near]
+            hit[r[np.where(side[r], lower > v[r], upper < v[r])]] = True
+        contradicted[rows[hit]] = True
+    masks = np.stack((contradicted, below | above))
+    return np.count_nonzero(masks, axis=1), masks
 
 
 # ---------------------------------------------------------------------------
@@ -541,18 +586,19 @@ def _level_set_flags(plan, sc, ns, tables, band, prior):
 def _setup(plans):
     """(ns, chains): the monitored sample sizes, and per kind (closed form or _level_set)
     and weight the chain of the group's plans, narrowest first (_threshold): (k, c) per
-    closed-form plans[k], (k, _log_ratio_tables, band) per level-set one, the weight's tables
-    shared by its plans.  The plans share the model, truth, range, reps, seed and sigma0_sq."""
+    closed-form plans[k], (k, _log_ratio_tables, band, _block_ends) per level-set one, the
+    weight's tables shared by its plans.  The plans share the model, truth, range, reps, seed
+    and sigma0_sq."""
     p, chains = plans[0], {}
     ns = np.arange(p.n_min, p.n_max + 1)
     c = [_threshold(pl) for pl in plans]
     weights = {pl.weight for pl in plans if _level_set(pl)}
-    shared = _weight_tables(weights, ns) if weights else {}
+    shared, ends = (_weight_tables(weights, ns), _block_ends(ns)) if weights else ({}, None)
     for k in sorted(range(len(plans)), key=c.__getitem__):
         if level_set := _level_set(pl := plans[k]):
             tables = _log_ratio_tables(pl, ns, shared)
             band = np.array(_bands(pl, ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
-            link = k, tables, band
+            link = k, tables, band, ends
         else:
             link = k, c[k]
         chains.setdefault((level_set, pl.weight), []).append(link)
@@ -605,15 +651,16 @@ def _draw(plan, ns, r0, r1):
 def _chunk(plans, setup, r0, r1):
     """(contradicted, noncovered) counts per plan on replications r0..r1-1: one _draw, then per
     chain of _setup's (ns, chains) each link flags the rows its predecessor passes on (all for
-    the first): the noncovered ones of _closed_form_flags, the contradicted of _level_set_flags."""
+    the first): the noncovered ones of _closed_form_flags, both masks of _level_set_flags."""
     ns, chains = setup
     sc, stats = _draw(plans[0], ns, r0, r1)
     counts = np.zeros((len(plans), 2), dtype=np.int64)
     for chain in chains:
-        prior = np.ones(r1 - r0, dtype=bool)
+        level_set = _level_set(plans[chain[0][0]])
+        prior = np.ones((2, r1 - r0) if level_set else r1 - r0, dtype=bool)
         for k, *link in chain:
             counts[k], prior = (
-                _level_set_flags(plans[k], sc, ns, *link, prior) if _level_set(plans[k]) else
+                _level_set_flags(plans[k], sc, ns, *link, prior) if level_set else
                 _closed_form_flags(plans[k], *link, ns, stats, prior))
     return counts
 
@@ -622,18 +669,21 @@ def _crossings(path, k, n_max, reps, seed) -> int:
     """Replications r < reps of the LogRatioPath's model with q_n/p_n >= k at some n <= n_max:
     the noncovered count of the exact-rule cell at level 1/k from n = 1.  A Bernoulli band edge
     whose count a - 1, a, b or b + 1 lies within the margin of log k moves by one count where
-    bernoulli._ratio_reaches disagrees, so the band holds exactly the counts with q_n/p_n < k."""
+    bernoulli._ratio_reaches disagrees, so the band holds exactly the counts with q_n/p_n < k,
+    and the count is that of the rows leaving it: no contradiction is sought."""
     plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k, path.weight,
                         1, n_max, reps, seed, path.sigma0_sq)
     ns, chains = setup = _setup([plan])
     if plan.model == Model.BERNOULLI:
-        [[(_, tables, band)]], j = chains, np.tile(np.arange(n_max), 4)
+        [[(_, tables, band, _)]], j = chains, np.tile(np.arange(n_max), 4)
         s = np.clip((band.astype(np.intp)[[0, 0, 1, 1]] + [[-1], [0], [0], [1]]).ravel(), 0, ns[j])
         near = np.abs(_excess(tables, ns, np.array([path.truth]))(0, s, j)) <= tables[3][j]
         for e in np.flatnonzero(near).tolist():
             x, i, w = int(s[e]), e % n_max, e // n_max  # w: a - 1, a, b, b + 1 (intp: a - 1 < 0)
             if _ratio_reaches(x, i + 1, path.truth, path.weight, k) == (w in (1, 2)):
                 band[w // 2, i] = x + (w == 1) - (w == 2)
+        return sum(int(_rows_leaving(_draw(plan, ns, r0, r1)[0], band, slice(None)).sum())
+                   for r0, r1 in _slices(plan))
     return sum(int(_chunk([plan], setup, r0, r1)[0][1]) for r0, r1 in _slices(plan))
 
 

@@ -412,15 +412,34 @@ class TestVille:
         assert res.crossings == sum(0 < n <= n_max for n in first)
         assert res.crossings == self.TIES[setting][(3, 7, 300).index(n_max)]
 
+    @pytest.mark.parametrize("setting, n_max, reps, seed",
+                             [((0.3, 1.0, 1.0, 10.0), 4000, 2000, 42)]
+                             + [(setting, 300, 400, 1) for setting in TIES],
+                             ids=lambda x: "theta={}-Beta({},{})-k={}".format(*x)
+                             if isinstance(x, tuple) else str(x))
+    def test_bernoulli_count_equals_chunk_count(self, monkeypatch, setting, n_max, reps, seed):
+        # a Bernoulli path is counted from the rows leaving the band alone; the whole chunk
+        # step, which also seeks contradictions, must count the same noncovered rows
+        from robbins import simulation
+        setups, setup = [], simulation._setup
+        monkeypatch.setattr(simulation, "_setup",
+                            lambda plans: setups.append((plans, setup(plans))) or setups[-1][1])
+        path = bernoulli.ville_log_ratio_path(setting[0], BetaWeight(*setting[1:3]))
+        count = simulation._crossings(path, setting[3], n_max, reps, seed)
+        [(plans, built)] = setups
+        assert count == sum(int(simulation._chunk(plans, built, r0, r1)[0][1])
+                            for r0, r1 in simulation._slices(plans[0]))
+        assert count == (148 if seed == 42 else self.TIES[setting][2])
+
     @pytest.mark.parametrize("theta, a, b", [(0.5, 1.0, 1.0), (0.25, 0.5, 0.5), (0.3, 5.0, 2.0)])
     def test_bernoulli_crossing_band_is_exact(self, monkeypatch, theta, a, b):
         # the kernel's band at each n holds exactly the counts with q_n/p_n < k, at ties, at
         # k a rounding away from some q_n/p_n, and at k near 1, where the edges lie close to
         # the log-ratio's least value and its step between counts is smallest
         from robbins import simulation
-        setups, chunk = [], simulation._chunk
-        monkeypatch.setattr(simulation, "_chunk",
-                            lambda *args: setups.append(args[1]) or chunk(*args))
+        setups, setup = [], simulation._setup     # its band is edited in place after it returns
+        monkeypatch.setattr(simulation, "_setup",
+                            lambda *args: setups.append(setup(*args)) or setups[-1])
         ratios = exact_ratios(theta, a, b, 60)
         near = sorted({float(r) for row in ratios[20:] for r in row if 1 < r < 100})
         path = bernoulli.ville_log_ratio_path(theta, BetaWeight(a, b))

@@ -10,7 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import chdtri
+from scipy.special import chdtri, xlogy
 
 from robbins import bernoulli, engine, normal, reference, simulation, two_bernoulli
 from robbins.core import BetaWeight, Interval, NormalWeight, PersistenceLevel, SequenceMonitor
@@ -594,6 +594,178 @@ class TestLevelSetBands:
         row = run_plan(plan)
         assert (row.contradictions_pct, row.noncoverages_pct) == \
             (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
+
+
+def _per_look_flags(plan, sc, ns, tables, band, prior):
+    """(counts, contradicted) of a level-set link by the per-look search the block screen
+    replaced, kept as an oracle: U* starts at the endpoint of the violating look of largest
+    relative deficit, is lowered by every violating look past it, and every look of each
+    one-sided row is then scanned in column tiles."""
+    (a, b), margin = band, tables[3]
+    low, high = sc < a, sc > b
+    below, above = low.any(axis=1), high.any(axis=1)
+    contradicted = below & above
+    rows = np.flatnonzero((below != above) & prior)
+    side = below[rows]
+    r, j = np.divmod(np.flatnonzero(low[rows] | high[rows]), ns.size)
+    s, n = sc[rows[r], j].astype(np.intp), ns[j]
+    dev = np.where(side[r], a[j] - s, s - b[j]) / n
+    first = np.searchsorted(r, range(rows.size))
+    top = np.flatnonzero(dev == np.maximum.reduceat(dev, first)[r])
+    pick = top[np.searchsorted(r[top], range(rows.size))]
+    lower, upper = simulation._endpoints(plan, s[pick], n[pick])
+    v = np.where(side, upper, lower)
+    excess = simulation._excess(tables, ns, v)
+    cand = np.flatnonzero((excess(r, s, j) >= -margin[j]) & ((s < n * v[r]) == side[r]))
+    lower, upper = simulation._endpoints(plan, s[cand], n[cand])
+    up = side[r[cand]]
+    np.minimum.at(v, r[cand][up], upper[up])
+    np.maximum.at(v, r[cand][~up], lower[~up])
+    excess = simulation._excess(tables, ns, v)
+    hit, near = np.zeros(rows.size, dtype=bool), []
+    for j0 in range(0, ns.size, simulation.TILE_COLS):
+        live, cols = np.flatnonzero(~hit), slice(j0, j0 + simulation.TILE_COLS)
+        s = sc[rows[live], cols].astype(np.intp)
+        ex = excess(live[:, None], s, cols)
+        rr, jj = np.divmod(np.flatnonzero(ex >= -margin[cols]), ex.shape[1])
+        over = ex[rr, jj] > margin[cols][jj]
+        hit[live[rr[over]]] = True
+        near.append((live[rr[~over]], s[rr, jj][~over], j0 + jj[~over]))
+    i, s, j = (np.concatenate(x) for x in zip(*near))
+    lower, upper = simulation._endpoints(plan, s, ns[j])
+    hit[i[np.where(side[i], lower > v[i], upper < v[i])]] = True
+    contradicted[rows[hit]] = True
+    return (np.count_nonzero(contradicted), np.count_nonzero(below | above)), contradicted
+
+
+class TestLevelSetBlockScreen:
+    """The level-set link does per-look work only in the blocks of looks that a bound at the
+    corners of each block's box of counts cannot clear; it must flag exactly the rows the
+    per-look search flags, link by link along every chain."""
+
+    @staticmethod
+    def _assert_equals_per_look_search(plans, reps, seed):
+        """Every level-set link of one chunk of the group, screened and per look, each chain
+        fed its own masks: equal counts and masks, and nested bands along the chain."""
+        ns, chains = setup = simulation._setup(plans)
+        sc, _ = simulation._draw(plans[0], ns, 0, reps)
+        searched = 0
+        for chain in chains:
+            prior, held = np.ones((2, reps), dtype=bool), np.ones(reps, dtype=bool)
+            last = None
+            for k, tables, band, ends in chain:
+                counts, prior = simulation._level_set_flags(plans[k], sc, ns, tables, band, ends,
+                                                            prior)
+                expect, held = _per_look_flags(plans[k], sc, ns, tables, band, held)
+                assert tuple(counts) == expect, (plans[k], seed)
+                assert np.array_equal(prior[0], held), (plans[k], seed)
+                assert np.array_equal(prior[1], (sc < band[0]).any(1) | (sc > band[1]).any(1))
+                if last is not None:   # a row covered at a narrower level is covered at this one
+                    assert np.all((band[0] <= last[0]) & (last[1] <= band[1])), plans[k]
+                last = band
+                searched += np.count_nonzero(held)
+        return searched
+
+    @pytest.mark.parametrize("seed", [1, 42, 2029])
+    @pytest.mark.parametrize("table", ["T3", "T4"])
+    def test_table_groups_equal_per_look_search(self, table, seed):
+        plans = [dataclasses.replace(p, reps=CHUNK_REPS, seed=seed)
+                 for p in simulation._TABLES[table]]
+        for theta in sorted({p.truth for p in plans}):
+            assert self._assert_equals_per_look_search(
+                [p for p in plans if p.truth == theta], CHUNK_REPS, seed) > 0
+
+    def test_random_groups_equal_per_look_search(self):
+        # theta near 0 and 1, monitoring from n = 1, Beta weights from 0.5 to 5 and levels from
+        # 1e-3 to 0.999: s = 0 and s = n looks, empty bands and endpoints next to 0 and 1
+        rng = np.random.default_rng(27)
+        searched = 0
+        for g in range(48):
+            theta = float(rng.choice([rng.uniform(0.001, 0.05), rng.uniform(0.05, 0.95),
+                                      rng.uniform(0.95, 0.999)]))
+            n_min = 1 if g % 2 else int(rng.integers(1, 100))
+            n_max = n_min + int(rng.integers(0, 800))
+            weight = BetaWeight(*map(float, rng.uniform(0.5, 5.0, 2).round(2)))
+            base = dict(model=Model.BERNOULLI, truth=theta, n_min=n_min, n_max=n_max,
+                        reps=128, seed=g)
+            plans = [SequencePlan(rule=Rule.LIKELIHOOD_RATIO, level=float(conf), **base)
+                     for conf in rng.uniform(1e-3, 0.999, 2)]
+            plans += [SequencePlan(rule=Rule.ROBBINS_EXACT, level=float(eps), weight=weight,
+                                   **base) for eps in 10.0 ** rng.uniform(-3, math.log10(0.999), 2)]
+            searched += self._assert_equals_per_look_search(plans, 128, g)
+        assert searched > 1000          # the groups hold one-sided rows to search
+
+    @pytest.mark.parametrize("weight", [None, BetaWeight(0.5, 0.5), BetaWeight(1.0, 1.0),
+                                        BetaWeight(5.0, 5.0), BetaWeight(0.5, 5.0),
+                                        BetaWeight(5.0, 0.5)], ids=str)
+    def test_corner_bound_covers_every_count_of_the_box(self, weight):
+        # on a dense grid of boxes [s0, s1] x [f0, f1] and values v, the bound from the corners
+        # on one side of s = n v is at least the excess of every count pair of the box on that
+        # side, and a box wholly on the other side is cleared: its bound is the floor
+        n0, top = 1, 60
+        ns = np.arange(n0, 2 * top + 1)
+        plan = SequencePlan(model=Model.BERNOULLI, truth=0.5,
+                            rule=Rule.LIKELIHOOD_RATIO if weight is None else Rule.ROBBINS_EXACT,
+                            level=0.9 if weight is None else 0.1, weight=weight, n_min=n0,
+                            n_max=2 * top)
+        tables = simulation._log_ratio_tables(plan, ns)
+        c = simulation._threshold(plan)
+        s0, f0 = (x.ravel() for x in np.mgrid[0:top - 8:3, 0:top - 8:3])
+        keep = s0 + f0 >= n0
+        s0, f0 = s0[keep], f0[keep]
+        cleared = 0
+        for v in (0.005, 0.05, 0.2, 0.5, 0.75, 0.95, 0.995):
+            for ds, df in ((1, 1), (3, 1), (1, 5), (6, 6), (8, 2)):
+                for low in (True, False):
+                    rows = s0.size
+                    vr, lr = np.full(rows, v), np.full(rows, low)
+                    excess = simulation._excess(tables, ns, vr)
+                    se, fe = np.stack((s0, s0 + ds), 1), np.stack((f0, f0 + df), 1)
+                    floor = c * (vr - 1.0)      # the excess of stat 0
+                    _, bound, _ = simulation._block_screen(excess, n0, se, fe, vr, lr, c,
+                                                           np.zeros(1))
+                    i, k = (x.ravel() for x in np.mgrid[0:ds + 1, 0:df + 1])
+                    s, f = s0[:, None] + i, f0[:, None] + k
+                    inner = excess(np.arange(rows)[:, None], s, s + f - n0)
+                    on = (s < (s + f) * v) == low
+                    most = np.where(on, inner, -np.inf).max(axis=1)
+                    margin = simulation._LOG_RATIO_MARGIN * (1.0 + xlogy(s + f, s + f).max(axis=1))
+                    assert np.all(bound[:, 0] >= most - margin), (v, ds, df, low)
+                    off = ~on.any(axis=1)
+                    assert np.all(bound[off, 0] == floor[off]), (v, ds, df, low)
+                    cleared += np.count_nonzero(off)
+        assert cleared > 1000
+
+    def test_block_cleared_only_two_margins_below_threshold(self):
+        # a corner and a look each round within a thousandth of the margin, so the screen
+        # keeps a block open unless its bound lies two margins below the threshold
+        se, fe, v = np.array([[3, 5]]), np.array([[4, 6]]), np.array([0.5])
+        for value, open_ in ((-1.5, True), (-2.5, False)):
+            _, _, kept = simulation._block_screen(
+                lambda r, s, j: np.full(s.shape, value * 1e-9), 1, se, fe, v, np.array([True]),
+                2.0, np.array([1e-9]))
+            assert kept[0, 0] == open_, value
+
+    @pytest.mark.parametrize("conf", [1e-9, 1e-12])
+    def test_endpoints_at_zero_or_one_decided_by_endpoints(self, conf, recwarn):
+        # at conf 1e-9 the drop is ~8e-19: exp(-drop/n) rounds to 1, the lower endpoint at
+        # s = n, where the log-ratio is infinite; such a row is decided by its endpoints
+        theta, n_max, reps, seed = 0.5, 50, 64, 3
+        plan = SequencePlan(model=Model.BERNOULLI, truth=theta, rule=Rule.LIKELIHOOD_RATIO,
+                            level=conf, n_min=1, n_max=n_max, reps=reps, seed=seed)
+
+        def replay(rng, mon):
+            s = np.cumsum(rng.random(n_max) < theta)
+            for n in range(1, n_max + 1):
+                mon.update(bernoulli.lr_interval(bernoulli.BernoulliSuffStat(n, int(s[n - 1])),
+                                                 conf))
+
+        slow = _slow_flags(replay, theta, reps, seed)
+        row = run_plan(plan)
+        assert (row.contradictions_pct, row.noncoverages_pct) == \
+            (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
+        assert slow[0] == reps
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestClosedFormBands:
