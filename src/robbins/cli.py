@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmin", type=int, default=10)
     p.add_argument("--nmax", type=int, default=4000)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=simulation._usable_cores(), help=_THREADS_HELP)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce-table", help="re-run a bundled table grid")
     p.add_argument("--id", type=str, default=None, help="table id, 1..5")
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=int, default=simulation._usable_cores(), help=_THREADS_HELP)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_reproduce_table, format="csv")

@@ -24,22 +24,23 @@ replication_rng(s, r) stream.  Draw order:
                        n1 = n2 = n along the sequence)
 
 Tables are data: each bundled table is a tuple of SequencePlans, one per cell.
-Consecutive plans sharing their data streams form one kernel group, run alike for every
-model: a serial _setup, then per chunk a module-level _chunk(plans, set-up, r0, r1) that
-draws once (_draw) and flags each plan, so a cell equals its plan run alone by run_plan.
-A chunk has CHUNK_REPS rows while n_max <= 32 768 (every bundled table); beyond, its rows
-shrink as 1/n_max, so a chunk holds at most 32 STREAM_CELLS cells per statistic (_slices).
+Consecutive plans sharing their data streams, whatever their truth, form one kernel group,
+run alike for every model: a serial _setup, then per chunk a module-level _chunk(plans,
+set-up, r0, r1) that draws once for every truth (_draw) and flags each plan, so a cell
+equals its plan run alone by run_plan.  A chunk has CHUNK_REPS rows while n_max <= 32 768
+(every bundled table); beyond, its rows shrink as 1/n_max, so a chunk holds at most 32
+STREAM_CELLS cells per statistic and truth (_slices).
 
 The kernels call the scalar rules' own formulas, array-valued in the model modules:
 the mixture and fixed-level half-widths (engine), corrected log-odds (two_bernoulli),
 arcsine estimate, back-map and level-set drop (bernoulli).  The level-set rules (exact
-Bernoulli mixture, likelihood ratio) cover theta at n for one band of counts, bisected
-once per call and plan on the log-ratio at theta (_bands; binomial_level_set decides a
-probe within rounding of the threshold); a chunk is flagged by integer compares against
-the bands, and endpoints are solved only where a contradiction depends on them
-(_level_set_flags).
+Bernoulli mixture, likelihood ratio) cover theta at n for one band of counts, found once per
+call and plan from the log-ratio at theta (_bands, bracketed from a coarse grid of looks;
+binomial_level_set decides a probe within rounding of the threshold); a chunk is flagged by
+integer compares against the bands, and endpoints are solved only where a contradiction
+depends on them (_level_set_flags).
 
-The plans of one kind (closed form or level set) and weight (or none) form a chain,
+The plans of one truth, kind (closed form or level set) and weight (or none) form a chain,
 narrowest first by the width constant c (_threshold); each later plan flags only the
 rows its predecessor passes on, and no bit moves.  A closed-form plan scans the rows its
 predecessor left noncovered: rounding is monotone, so each step of d and est +/- d keeps
@@ -278,15 +279,23 @@ def _slices(plan) -> list:
     return [(r0, min(r0 + step, plan.reps)) for r0 in range(0, plan.reps, step)]
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: os.process_cpu_count where it exists (Python 3.13),
+    else the size of its affinity set, else os.cpu_count()."""
+    if hasattr(os, "process_cpu_count"):
+        return os.process_cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _map_chunks(groups, threads: int) -> list:
     """Counts of each group of plans: _chunk(plans, _setup(plans), r0, r1) summed over the
     fixed _slices [r0, r1) of plans[0], in slice order, so identical for any worker count.
-    threads=1 or a single chunk runs in-process; else a pool of min(threads, chunks, cpu
-    count) worker processes (forked where the platform offers fork, else spawned) takes
-    each group's chunks as soon as its set-up is built, and is shut down before returning,
-    also when a set-up or chunk raises."""
+    threads=1 or a single chunk runs in-process; else a pool of min(threads, chunks,
+    _usable_cores()) worker processes (forked where the platform offers fork, else spawned)
+    takes each group's chunks as soon as its set-up is built, and is shut down before
+    returning, also when a set-up or chunk raises."""
     slices = [_slices(plans[0]) for plans in groups]
-    pool, workers = None, min(threads, sum(map(len, slices)), os.cpu_count() or 1)
+    pool, workers = None, min(threads, sum(map(len, slices)), _usable_cores())
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -402,11 +411,12 @@ def _closed_form_flags(plan, c, ns, stats, prior):
 # Newton endpoint, and one float beyond it, it is within a hundredth of the margin
 # on its own side (a test checks); inside the margin, the endpoint decides.
 _LOG_RATIO_MARGIN = 1e-12
+_BAND_GRID = 32     # _bands searches the edges over their full range at every 32nd look
 
 
 def _weight_tables(weights, ns) -> dict:
-    """Per weight, (A, B, C, margin) of _log_ratio_tables before C takes the threshold c:
-    one set of arrays per weight and one margin for all, so a pickle holds each once."""
+    """Per weight, (A, B, C, margin) of _log_ratio_tables: one set of arrays per weight and
+    one margin for all, so a pickle holds each once."""
     xlogx = xlogy(k := np.arange(ns[-1] + 1.0), k)
     margin = _LOG_RATIO_MARGIN * (1.0 + xlogx[ns])
     return {w: ((xlogx, xlogx, xlogx[ns]) if w is None else (
@@ -430,20 +440,19 @@ def _threshold(plan) -> float:
 
 
 def _log_ratio_tables(plan, ns, shared=None):
-    """(A, B, C + c, margin) per run: v is covered at (n, s) = (ns[j], s) iff
-    stat(v; s) = A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with
-    A, B, C = gammaln(k + alpha), gammaln(k + beta), gammaln(n + alpha + beta) +
-    log B(alpha, beta) (exact rule); A = B = xlogy(k, k), C = n log n (likelihood
-    ratio); c is _threshold.  shared: the _weight_tables holding the plan's weight."""
-    A, B, C, margin = (shared or _weight_tables([plan.weight], ns))[plan.weight]
-    return A, B, C + _threshold(plan), margin
+    """(A, B, C, margin, c) per run: v is covered at (n, s) = (ns[j], s) iff stat(v; s) =
+    A[s] + B[n - s] - C[j] - s log v - (n - s) log(1 - v) <= c, with A, B, C = gammaln(k +
+    alpha), gammaln(k + beta), gammaln(n + alpha + beta) + log B(alpha, beta) (exact rule);
+    A = B = xlogy(k, k), C = n log n (likelihood ratio); c is _threshold.  shared: the
+    _weight_tables holding the plan's weight, whose arrays its plans share, each with its c."""
+    return (shared or _weight_tables([plan.weight], ns))[plan.weight] + (_threshold(plan),)
 
 
 def _excess(tables, ns, v):
     """The scaled excess (r, s, j) -> (stat(v[r]; s) - c)(1 - v[r]) at counts s of
     ns[j], of the crossing statistic over its threshold (see _log_ratio_tables); 0 at
     every count where v[r] is 0 or 1, whose logs are infinite, so the endpoints decide."""
-    A, B, C, _ = tables
+    A, B, C, _, c = tables
     w = np.where(edge := (v <= 0.0) | (v >= 1.0), 0.5, v)
     log1m_v, scale = np.log1p(-w), np.where(edge, 0.0, 1.0 - v)
     logit_v = np.log(w) - log1m_v
@@ -452,7 +461,7 @@ def _excess(tables, ns, v):
         ex = A.take(s)
         ex += B.take(ns[j] - s)
         ex -= s * logit_v[r]
-        ex -= C[j] + ns[j] * log1m_v[r]
+        ex -= C[j] + c + ns[j] * log1m_v[r]
         ex *= scale[r]
         return ex
 
@@ -467,24 +476,42 @@ def _endpoints(plan, s, n):
 
 def _bands(plan, ns, theta, tables):
     """(a, b) per n: theta is covered at exactly the counts a <= s <= b, the crossing
-    statistic being convex in s (empty band: a = b + 1).  a and b + 1, the least s with
-    upper >= theta and with lower > theta, are bisected for all n and both edges at once:
-    outside the margin, theta is covered iff its _excess is negative, and else lies
-    below the interval iff s > n theta; inside it, the endpoints decide."""
+    statistic being convex in s (empty band: a = b + 1).  a and b + 1 are the least s with
+    upper >= theta and with lower > theta: outside the margin, theta is covered iff its
+    _excess is negative, and else lies below the interval iff s > n theta; inside it, the
+    endpoints decide.  That test is monotone in s, so any (lo, hi] where it fails at lo and
+    holds at hi holds the edge.  (side - 1, n + side] is searched at every _BAND_GRID-th look
+    and the last; elsewhere only where (floor(g) - 1, ceil(g)] around the interpolated edge g
+    fails that check (its middle floor(g) then gives the edge)."""
     excess, margin = _excess(tables, ns, np.array([theta])), tables[3]
-    side, j = (x.ravel() for x in np.indices((2, ns.size)))
-    lo, hi = side - 1, ns[j] + side         # the edge lies in (lo, hi]
-    while (e := np.flatnonzero(hi - lo > 1)).size:
-        s, n = (lo[e] + hi[e]) // 2, ns[j[e]]
-        ex = excess(0, s, j[e])
-        covered, high = ex < 0, s > n * theta
-        past = np.where(side[e] == 0, covered | high, ~covered & high)
-        near = np.flatnonzero(np.abs(ex) <= margin[j[e]])
-        lower, upper = _endpoints(plan, s[near], n[near])
-        past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
-        hi[e[past]], lo[e[~past]] = s[past], s[~past]
-    a, b = hi.reshape(2, ns.size)
-    return a, b - 1
+
+    def past(side, j, s):      # whether the edge of side at ns[j] is at most s
+        n, t = ns[j], np.clip(s, 0, ns[j])
+        ex = excess(0, t, j)
+        out = np.where(ex < 0, side == 0, t > n * theta)
+        near = np.flatnonzero(np.abs(ex) <= margin[j])
+        lower, upper = _endpoints(plan, t[near], n[near])
+        out[near] = upper >= theta if side == 0 else lower > theta
+        return (out & (s >= 0)) | (s > n)
+
+    def search(side, j):      # over the full range (side - 1, n + side], 15 probes a step
+        lo, hi = j * 0 + side - 1, ns[j] + side
+        while (e := np.flatnonzero(hi - lo > 1)).size:
+            s = lo[e, None] + (hi[e] - lo[e])[:, None] * np.arange(1, 16) // 16
+            p = past(side, j[e].repeat(15), s.ravel()).reshape(s.shape)
+            lo[e], hi[e] = np.where(p, lo[e, None], s).max(1), np.where(p, s, hi[e, None]).min(1)
+        return hi
+
+    def edge(side):
+        grid, j = np.r_[0:ns.size - 1:_BAND_GRID, ns.size - 1], np.arange(ns.size)
+        guess = np.interp(j, grid, search(side, grid))
+        lo, hi = np.floor(guess).astype(np.intp), np.ceil(guess).astype(np.intp)
+        p = past(side, np.tile(j, 3), np.r_[lo - 1, lo, hi]).reshape(3, -1)
+        e, fail = np.where(p[1], lo, hi), np.flatnonzero(p[0] | ~p[2])
+        e[fail] = search(side, fail)
+        return e
+
+    return edge(0), edge(1) - 1
 
 
 def _block_ends(ns):
@@ -584,30 +611,32 @@ def _level_set_flags(plan, sc, ns, tables, band, ends, prior):
 # ---------------------------------------------------------------------------
 
 def _setup(plans):
-    """(ns, chains): the monitored sample sizes, and per kind (closed form or _level_set)
-    and weight the chain of the group's plans, narrowest first (_threshold): (k, c) per
-    closed-form plans[k], (k, _log_ratio_tables, band, _block_ends) per level-set one, the
-    weight's tables shared by its plans.  The plans share the model, truth, range, reps, seed
-    and sigma0_sq."""
+    """(ns, chains, truths): the monitored sample sizes; per truth (in order of first use), kind
+    (closed form or _level_set) and weight, the chain of the group's plans, narrowest first
+    (_threshold): (k, c) per closed-form plans[k], (k, _log_ratio_tables, band at its truth,
+    _block_ends) per level-set one, a weight's tables shared by all truths; and the truths.  The
+    plans share the model, range, reps, seed and sigma0_sq, so one draw serves them all."""
     p, chains = plans[0], {}
     ns = np.arange(p.n_min, p.n_max + 1)
+    truths = [q.truth for i, q in enumerate(plans) if q.truth not in [r.truth for r in plans[:i]]]
     c = [_threshold(pl) for pl in plans]
     weights = {pl.weight for pl in plans if _level_set(pl)}
     shared, ends = (_weight_tables(weights, ns), _block_ends(ns)) if weights else ({}, None)
     for k in sorted(range(len(plans)), key=c.__getitem__):
         if level_set := _level_set(pl := plans[k]):
             tables = _log_ratio_tables(pl, ns, shared)
-            band = np.array(_bands(pl, ns, p.truth, tables), dtype=np.min_scalar_type(p.n_max))
+            band = np.array(_bands(pl, ns, pl.truth, tables), dtype=np.min_scalar_type(p.n_max))
             link = k, tables, band, ends
         else:
             link = k, c[k]
-        chains.setdefault((level_set, pl.weight), []).append(link)
-    return ns, list(chains.values())
+        chains.setdefault((truths.index(pl.truth), level_set, pl.weight), []).append(link)
+    return ns, list(chains.values()), truths
 
 
-def _draw(plan, ns, r0, r1):
-    """(counts, stats) of replications r0..r1-1 at ns: the success counts (replications x ns)
-    of the Bernoulli model (else None), and stats = (est_v, truth, bounds, (x, t, vmin)) as
+def _draw(plan, truths, ns, r0, r1):
+    """Per truth, (counts, stats) of replications r0..r1-1 at ns from one _streams pass, by the
+    ops of a draw for that truth alone.  counts: the success counts (replications x ns) of the
+    Bernoulli model (else None); stats = (est_v, truth, bounds, (x, t, vmin)) as
     _closed_form_flags takes them: x is compared with the _closed_form_band at the truth t on
     the estimate scale and each look's least variance vmin.  Normal: the running means as x;
     two-Bernoulli: the paired corrected log-odds (estimate over s1 = x, variance over s2, vmin
@@ -616,47 +645,48 @@ def _draw(plan, ns, r0, r1):
     p, m = plan, r1 - r0
     if p.model == Model.NORMAL_KNOWN_VAR:
         v, sigma0 = p.sigma0_sq / ns, math.sqrt(p.sigma0_sq)
-        total = np.empty((m, p.n_max))
+        total = np.empty((len(truths), m, p.n_max))
         for i, y in _streams(p.seed, r0, r1, "standard_normal", (p.n_max,)):
             y *= sigma0
-            y += p.truth
-            np.cumsum(y, axis=1, out=total[i:i + len(y)])
-        est = total[:, p.n_min - 1:]
+            for truth, x in zip(truths, total):
+                np.cumsum(np.add(y, truth, out=x[i:i + len(y)]), axis=1, out=x[i:i + len(y)])
+        est = total[..., p.n_min - 1:]
         est /= ns
-        return None, (lambda j0, j1, rows: (est[rows, j0:j1], v[j0:j1]), p.truth, None,
-                      (est, p.truth, v))
+        return [(None, (lambda j0, j1, rows, e=e: (e[rows, j0:j1], v[j0:j1]), t, None, (e, t, v)))
+                for t, e in zip(truths, est)]
     if p.model == Model.TWO_BERNOULLI:
-        (theta1, theta2), n_min, n_max = p.truth, p.n_min, p.n_max
-        s1 = np.empty((m, ns.size))
-        s2 = np.empty_like(s1)
-        for i, u in _streams(p.seed, r0, r1, "random", (2, n_max)):
-            s1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, n_min - 1:]
-            s2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, n_min - 1:]
-        vmin = np.empty(ns.size)
+        s = np.empty((2, len(truths), m, ns.size))
+        for i, u in _streams(p.seed, r0, r1, "random", (2, p.n_max)):
+            for (theta1, theta2), x1, x2 in zip(truths, *s):
+                x1[i:i + len(u)] = np.cumsum(u[:, 0] < theta1, axis=1)[:, p.n_min - 1:]
+                x2[i:i + len(u)] = np.cumsum(u[:, 1] < theta2, axis=1)[:, p.n_min - 1:]
+        vmin = np.empty((len(truths), ns.size))
         for j0 in range(0, ns.size, TILE_COLS):
-            t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (s1, s2, ns))
+            t1, t2, n = (x[..., j0:j0 + TILE_COLS] for x in (*s, ns))
             t1[...], t2[...] = _corrected_log_odds(n, n, t1, t2)
-            vmin[j0:j0 + TILE_COLS] = t2.min(axis=0)
-        psi_true = math.log(theta1 * (1.0 - theta2) / (theta2 * (1.0 - theta1)))
-        return None, (lambda j0, j1, rows: (s1[rows, j0:j1], s2[rows, j0:j1]), psi_true, None,
-                      (s1, psi_true, vmin))
+            vmin[:, j0:j0 + TILE_COLS] = t2.min(axis=1)
+        psi = [math.log(a * (1.0 - b) / (b * (1.0 - a))) for a, b in truths]
+        return [(None, (lambda j0, j1, rows, x=x, v=v: (x[rows, j0:j1], v[rows, j0:j1]), t, None,
+                        (x, t, w))) for x, v, t, w in zip(*s, psi, vmin)]
     count_type, v = np.min_scalar_type(p.n_max), 0.25 / ns
-    sc = np.empty((m, ns.size), dtype=count_type)
+    sc = np.empty((len(truths), m, ns.size), dtype=count_type)
     for i, u in _streams(p.seed, r0, r1, "random", (p.n_max,)):
-        sc[i:i + len(u)] = np.cumsum(u < p.truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
-    return sc, (lambda j0, j1, rows: (_arcsine_estimate(sc[rows, j0:j1], ns[j0:j1]), v[j0:j1]),
-                p.truth, _arcsine_back_map, (sc, math.asin(math.sqrt(p.truth)), v))
+        for truth, x in zip(truths, sc):
+            x[i:i + len(u)] = np.cumsum(u < truth, axis=1, dtype=count_type)[:, p.n_min - 1:]
+    return [(x, (lambda j0, j1, rows, x=x: (_arcsine_estimate(x[rows, j0:j1], ns[j0:j1]),
+                                            v[j0:j1]), t, _arcsine_back_map,
+                 (x, math.asin(math.sqrt(t)), v))) for t, x in zip(truths, sc)]
 
 
 def _chunk(plans, setup, r0, r1):
-    """(contradicted, noncovered) counts per plan on replications r0..r1-1: one _draw, then per
-    chain of _setup's (ns, chains) each link flags the rows its predecessor passes on (all for
-    the first): the noncovered ones of _closed_form_flags, both masks of _level_set_flags."""
-    ns, chains = setup
-    sc, stats = _draw(plans[0], ns, r0, r1)
+    """(contradicted, noncovered) counts per plan on replications r0..r1-1: one _draw for every
+    truth, then per chain of _setup's each link flags its truth's rows its predecessor passes
+    on (all for the first): the noncovered ones of _closed_form_flags, both of _level_set_flags."""
+    ns, chains, truths = setup
+    draws = _draw(plans[0], truths, ns, r0, r1)
     counts = np.zeros((len(plans), 2), dtype=np.int64)
     for chain in chains:
-        level_set = _level_set(plans[chain[0][0]])
+        level_set, (sc, stats) = _level_set(p := plans[chain[0][0]]), draws[truths.index(p.truth)]
         prior = np.ones((2, r1 - r0) if level_set else r1 - r0, dtype=bool)
         for k, *link in chain:
             counts[k], prior = (
@@ -673,7 +703,7 @@ def _crossings(path, k, n_max, reps, seed) -> int:
     and the count is that of the rows leaving it: no contradiction is sought."""
     plan = SequencePlan(Model(path.model), path.truth, Rule.ROBBINS_EXACT, 1.0 / k, path.weight,
                         1, n_max, reps, seed, path.sigma0_sq)
-    ns, chains = setup = _setup([plan])
+    ns, chains, _ = setup = _setup([plan])
     if plan.model == Model.BERNOULLI:
         [[(_, tables, band, _)]], j = chains, np.tile(np.arange(n_max), 4)
         s = np.clip((band.astype(np.intp)[[0, 0, 1, 1]] + [[-1], [0], [0], [1]]).ravel(), 0, ns[j])
@@ -682,8 +712,8 @@ def _crossings(path, k, n_max, reps, seed) -> int:
             x, i, w = int(s[e]), e % n_max, e // n_max  # w: a - 1, a, b, b + 1 (intp: a - 1 < 0)
             if _ratio_reaches(x, i + 1, path.truth, path.weight, k) == (w in (1, 2)):
                 band[w // 2, i] = x + (w == 1) - (w == 2)
-        return sum(int(_rows_leaving(_draw(plan, ns, r0, r1)[0], band, slice(None)).sum())
-                   for r0, r1 in _slices(plan))
+        return sum(int(_rows_leaving(_draw(plan, [plan.truth], ns, r0, r1)[0][0], band,
+                                     slice(None)).sum()) for r0, r1 in _slices(plan))
     return sum(int(_chunk([plan], setup, r0, r1)[0][1]) for r0, r1 in _slices(plan))
 
 
@@ -692,13 +722,13 @@ def _crossings(path, k, n_max, reps, seed) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_plans(table: str, plans, threads: int) -> list:
-    """One report row per plan; each run of consecutive plans sharing data streams
-    is one kernel group (grouped in order, since a list truth is no dict key)."""
+    """One report row per plan; each run of consecutive plans sharing data streams (any truth)
+    is one kernel group (grouped in order, as a dict of groups would reorder interleaved ones)."""
     _require_integers(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     groups = [list(g) for _, g in itertools.groupby(plans, key=lambda p: (
-        p.model, p.truth, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq))]
+        p.model, p.n_min, p.n_max, p.reps, p.seed, p.sigma0_sq))]
     return [_report_row(table, plan, cnt) for group, counts in
             zip(groups, _map_chunks(groups, threads)) for plan, cnt in zip(group, counts)]
 

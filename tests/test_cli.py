@@ -6,7 +6,7 @@ import pytest
 
 from robbins import cli
 from robbins.core import BetaWeight, NormalInverseGamma, NormalWeight, PersistenceLevel
-from robbins import bernoulli, normal, two_bernoulli
+from robbins import bernoulli, normal, simulation, two_bernoulli
 
 
 def run(capsys, *argv):
@@ -500,6 +500,11 @@ class TestReproduceTableCommand:
                          "--threads", "0")
         assert rc == 2
         assert "--threads" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce-table"])
+    def test_threads_default_to_usable_cores(self, command):
+        args = cli.build_parser().parse_args([command])
+        assert args.threads == simulation._usable_cores()
 
     def test_json_output(self, capsys, tmp_path):
         out_file = tmp_path / "t1.json"

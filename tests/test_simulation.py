@@ -289,7 +289,7 @@ class TestKernelsMatchMonitorReplay:
         for margin in (simulation._BAND_MARGIN, 0.9):
             monkeypatch.setattr(simulation, "_BAND_MARGIN", margin)
             looks = np.arange(1, n_max + 1)
-            x, t, vmin = simulation._draw(plan, looks, 0, reps)[1][3]
+            x, t, vmin = simulation._draw(plan, [plan.truth], looks, 0, reps)[0][1][3]
             c = simulation._threshold(plan)
             band = simulation._closed_form_band(plan, looks, c, t, vmin)
             leaving = np.count_nonzero(simulation._rows_leaving(x, band, slice(None)))
@@ -596,6 +596,80 @@ class TestLevelSetBands:
             (100.0 * slow[0] / reps, 100.0 * slow[1] / reps)
 
 
+def _full_range_bands(plan, ns, theta, tables):
+    """The band edges bisected over the full range (side - 1, n + side] at every look, as
+    _bands did before it bracketed them, kept as an oracle."""
+    excess, margin = simulation._excess(tables, ns, np.array([theta])), tables[3]
+    side, j = (x.ravel() for x in np.indices((2, ns.size)))
+    lo, hi = side - 1, ns[j] + side
+    while (e := np.flatnonzero(hi - lo > 1)).size:
+        s, n = (lo[e] + hi[e]) // 2, ns[j[e]]
+        ex = excess(0, s, j[e])
+        covered, high = ex < 0, s > n * theta
+        past = np.where(side[e] == 0, covered | high, ~covered & high)
+        near = np.flatnonzero(np.abs(ex) <= margin[j[e]])
+        lower, upper = simulation._endpoints(plan, s[near], n[near])
+        past[near] = np.where(side[e[near]] == 0, upper >= theta, lower > theta)
+        hi[e[past]], lo[e[~past]] = s[past], s[~past]
+    a, b = hi.reshape(2, ns.size)
+    return a, b - 1
+
+
+class TestBracketedBands:
+    """_bands searches the edges over their full range only on a grid of looks and checks a
+    bracket around the interpolated edge elsewhere; any valid bracket holds the same least
+    count, so its bands must equal the full-range bisection's at every look."""
+
+    @staticmethod
+    def _assert_equal_to_full_range(plans):
+        for plan in plans:
+            ns = np.arange(plan.n_min, plan.n_max + 1)
+            tables = simulation._log_ratio_tables(plan, ns)
+            a, b = simulation._bands(plan, ns, plan.truth, tables)
+            expect = _full_range_bands(plan, ns, plan.truth, tables)
+            assert np.array_equal(a, expect[0]) and np.array_equal(b, expect[1]), plan
+
+    @staticmethod
+    def _random_plans(count, seed):
+        # theta near 0 and 1, monitoring from n = 1 (where the edges are not monotone in n),
+        # Beta weights from 0.5 to 5 and levels from 1e-3 to 0.999
+        rng, plans = np.random.default_rng(seed), []
+        for _ in range(count // 2):
+            base = dict(model=Model.BERNOULLI, truth=float(rng.uniform(0.001, 0.999)), n_min=1,
+                        n_max=int(rng.integers(1, 1500)))
+            weight = BetaWeight(*map(float, rng.uniform(0.5, 5.0, 2).round(2)))
+            plans.append(SequencePlan(rule=Rule.LIKELIHOOD_RATIO,
+                                      level=float(rng.uniform(1e-3, 0.999)), **base))
+            plans.append(SequencePlan(rule=Rule.ROBBINS_EXACT, weight=weight,
+                                      level=float(10.0 ** rng.uniform(-3, math.log10(0.999))),
+                                      **base))
+        return plans
+
+    def test_table_plans_equal_full_range(self):
+        self._assert_equal_to_full_range(simulation._TABLES["T3"] + simulation._TABLES["T4"])
+
+    def test_random_plans_equal_full_range(self):
+        self._assert_equal_to_full_range(self._random_plans(64, 29))
+
+    @pytest.mark.parametrize("k", [2.0, 4 / 3, 10.0])
+    def test_crossing_plans_equal_full_range(self, k):
+        # the exact-rule plans of the crossing check, at a tie (k 2), a rounding miss (4/3)
+        self._assert_equal_to_full_range([
+            SequencePlan(Model.BERNOULLI, theta, Rule.ROBBINS_EXACT, 1.0 / k, weight, 1, 4000)
+            for theta, weight in ((0.5, BetaWeight(1.0, 1.0)), (0.3, BetaWeight(1.0, 1.0)),
+                                  (0.25, BetaWeight(0.5, 0.5)), (0.3, BetaWeight(5.0, 2.0)))])
+
+    def test_fallback_alone_gives_the_same_bands(self, monkeypatch):
+        # an interpolated edge far below every count fails every bracket check, so every look
+        # takes the full-range search
+        guesses = []
+        monkeypatch.setattr(np, "interp", lambda x, *args: guesses.append(1) or
+                            np.full(len(x), -1e6))
+        self._assert_equal_to_full_range(list(simulation._TABLES["T3"][::3])
+                                         + self._random_plans(8, 31))
+        assert guesses
+
+
 def _per_look_flags(plan, sc, ns, tables, band, prior):
     """(counts, contradicted) of a level-set link by the per-look search the block screen
     replaced, kept as an oracle: U* starts at the endpoint of the violating look of largest
@@ -647,10 +721,11 @@ class TestLevelSetBlockScreen:
     def _assert_equals_per_look_search(plans, reps, seed):
         """Every level-set link of one chunk of the group, screened and per look, each chain
         fed its own masks: equal counts and masks, and nested bands along the chain."""
-        ns, chains = setup = simulation._setup(plans)
-        sc, _ = simulation._draw(plans[0], ns, 0, reps)
+        ns, chains, truths = simulation._setup(plans)
+        draws = simulation._draw(plans[0], truths, ns, 0, reps)
         searched = 0
         for chain in chains:
+            sc, _ = draws[truths.index(plans[chain[0][0]].truth)]
             prior, held = np.ones((2, reps), dtype=bool), np.ones(reps, dtype=bool)
             last = None
             for k, tables, band, ends in chain:
@@ -781,7 +856,7 @@ class TestClosedFormBands:
                             else Rule.ROBBINS_EXACT, eps, weight, n_min, n_max, **kw)
         ns = np.arange(n_min, n_max + 1)
         c = simulation._threshold(plan)
-        _, t, vmin = simulation._draw(plan, ns, 0, 1)[1][3]
+        _, t, vmin = simulation._draw(plan, [truth], ns, 0, 1)[0][1][3]
         return ns, c, simulation._closed_form_band(plan, ns, c, t, vmin)
 
     @pytest.mark.parametrize("theta", [0.02, 0.3, 0.98])
@@ -839,7 +914,7 @@ class TestClosedFormBands:
                 plan = SequencePlan(Model.TWO_BERNOULLI, truth, Rule.ROBBINS_APPROX, eps, w,
                                     n_min, n_max, reps, seed)
                 c = simulation._threshold(plan)
-                _, t, v = simulation._draw(plan, ns, 0, reps)[1][3]
+                _, t, v = simulation._draw(plan, [truth], ns, 0, reps)[0][1][3]
                 a, b = simulation._closed_form_band(plan, ns, c, t, v)
                 assert t == psi and np.all(a < b), (w, eps)
                 margin = simulation._BAND_MARGIN * (b - a + abs(psi) + abs(w.mu0))
@@ -1049,6 +1124,55 @@ class TestChainPruning:
         assert np.all(np.sin(np.maximum(nxt, 0.0)) ** 2 >= np.sin(np.maximum(x, 0.0)) ** 2)
 
 
+class TestMixedTruthGroups:
+    """Plans sharing seed, replications and range share their data streams whatever their
+    truth, so they form one kernel group that draws each chunk once for every truth; each row
+    must equal its plan run alone."""
+
+    CASES = {
+        "bernoulli": (dict(model=Model.BERNOULLI, n_min=5, n_max=400), (0.3, 0.7), (
+            (Rule.LIKELIHOOD_RATIO, 0.95, None), (Rule.ROBBINS_EXACT, 0.1, BetaWeight(1.0, 1.0)),
+            (Rule.ROBBINS_APPROX, 0.2, NormalWeight(0.8, 0.4)),
+            (Rule.LIKELIHOOD_RATIO, 0.9, None))),
+        "normal": (dict(model=Model.NORMAL_KNOWN_VAR, n_min=5, n_max=400, sigma0_sq=2.0),
+                   (0.0, 0.4), ((Rule.CLASSICAL_Z, 0.95, None),
+                                (Rule.ROBBINS_EXACT, 0.1, NormalWeight(0.0, 1.0)),
+                                (Rule.ROBBINS_EXACT, 0.5, NormalWeight(0.0, 1.0)))),
+        "two-bernoulli": (dict(model=Model.TWO_BERNOULLI, n_min=20, n_max=400),
+                          ((0.2, 0.4), (0.5, 0.3)),
+                          ((Rule.ROBBINS_APPROX, 0.1, NormalWeight(0.0, 5.0)),
+                           (Rule.CLASSICAL_Z, 0.95, None),
+                           (Rule.ROBBINS_APPROX, 0.5, NormalWeight(0.0, 5.0)))),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_interleaved_truths_match_plans_run_alone(self, case, threads):
+        kw, truths, cells = self.CASES[case]
+        # the truths alternate cell by cell, so no two neighbours share one
+        plans = [SequencePlan(truth=truth, rule=rule, level=level, weight=w,
+                              reps=CHUNK_REPS + 40, seed=25, **kw)
+                 for rule, level, w in cells for truth in truths]
+        setups, setup = [], simulation._setup
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulation, "_setup", lambda plans: setups.append(plans) or setup(plans))
+            rows = simulation._run_plans("-", plans, threads=threads)
+        assert [len(group) for group in setups] == [len(plans)]
+        assert rows == [run_plan(plan) for plan in plans]
+        assert all(0 < r.noncoverages_pct < 100 for r in rows), rows
+        # a row drawn at the other truth would show: the truths tell cells apart (not the
+        # classical normal ones, which are invariant to a shift of the data and the truth)
+        assert len({(r.contradictions_pct, r.noncoverages_pct) for r in rows}) > len(cells)
+
+    def test_table_draws_each_chunk_once_for_every_truth(self, monkeypatch):
+        # T3's three truths share seed and replications: 1000 reps are four chunks, not twelve
+        chunks, chunk = [], simulation._chunk
+        monkeypatch.setattr(simulation, "_chunk",
+                            lambda *args: chunks.append(args[2:]) or chunk(*args))
+        reproduce_table("T3", reps=1000, seed=9, threads=1)
+        assert chunks == [(0, 256), (256, 512), (512, 768), (768, 1000)]
+
+
 class TestCountStorage:
     def test_counts_past_int16_range_match_int64_replay(self):
         # at theta = 0.9 the success count passes 32767 near n = 36400; counts
@@ -1232,13 +1356,13 @@ def pools(monkeypatch):
     return started
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core runs every chunk in-process")
+@pytest.mark.skipif(simulation._usable_cores() < 2, reason="one core runs every chunk in-process")
 class TestWorkerPool:
     """threads > 1 runs the chunks of a call in one pool of worker processes, which
     never outlives the call."""
 
     def test_one_pool_per_call_and_no_worker_left(self, pools):
-        reps = CHUNK_REPS + 40          # two chunks for each of T3's three truths
+        reps = CHUNK_REPS + 40          # two chunks, each drawn once for T3's three truths
         rows = reproduce_table("T3", reps=reps, seed=6, threads=2).rows
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -1256,14 +1380,14 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
     def test_no_worker_left_when_a_later_set_up_raises(self, pools, monkeypatch):
-        # T3's three truths are three groups of four plans; the second group's set-up
-        # runs after the first group's two chunks went to the workers
+        # T3 at two seeds draws two sets of streams, so two groups of twelve plans; the second
+        # group's set-up runs after the first group's two chunks went to the workers
         bands, submit = simulation._bands, concurrent.futures.ProcessPoolExecutor.submit
-        truths, submitted = [], []
+        seeds, submitted = [], []
 
         def fail(plan, *args):
-            truths.append(plan.truth)
-            if len(set(truths)) > 1:
+            seeds.append(plan.seed)
+            if len(set(seeds)) > 1:
                 raise EndpointSolveError("set-up failed")
             return bands(plan, *args)
 
@@ -1273,8 +1397,10 @@ class TestWorkerPool:
 
         monkeypatch.setattr(simulation, "_bands", fail)
         monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "submit", spy)
+        plans = [dataclasses.replace(plan, reps=CHUNK_REPS + 40, seed=seed)
+                 for seed in (6, 7) for plan in simulation._TABLES["T3"]]
         with pytest.raises(EndpointSolveError, match="set-up failed"):
-            reproduce_table("T3", reps=CHUNK_REPS + 40, seed=6, threads=2)
+            simulation._run_plans("T3", plans, threads=2)
         assert submitted == [(0, CHUNK_REPS), (CHUNK_REPS, CHUNK_REPS + 40)]
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -1283,8 +1409,25 @@ class TestWorkerPool:
         plan = SequencePlan(model=Model.BERNOULLI, truth=0.4, rule=Rule.LIKELIHOOD_RATIO,
                             level=0.95, n_min=10, n_max=300, reps=3 * CHUNK_REPS + 40, seed=13)
         assert run_plan(plan, threads=10 ** 6) == run_plan(plan, threads=1)
-        assert pools == [min(4, os.cpu_count())]
+        assert pools == [min(4, simulation._usable_cores())]
         assert multiprocessing.active_children() == []
+
+
+class TestUsableCores:
+    """Workers are capped at the cores the process may run on, not the machine's count."""
+
+    def test_affinity_set_counts_before_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "process_cpu_count", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert simulation._usable_cores() == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert simulation._usable_cores() == 8
+
+    def test_process_cpu_count_first(self, monkeypatch):
+        monkeypatch.setattr(os, "process_cpu_count", lambda: 3, raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert simulation._usable_cores() == 3
 
 
 class TestReporting:
